@@ -217,11 +217,7 @@ def cmd_fuse(args) -> int:
         depth=args.depth if args.depth is not None else config.fusion.depth,
     )
     runs = [read_run(p) for p in args.runs]
-    sample_ids: list[str] = []
-    for run in runs:
-        for qid in run:
-            if qid not in sample_ids:
-                sample_ids.append(qid)
+    sample_ids = list(dict.fromkeys(qid for run in runs for qid in run))
     fused = []
     for qid in sample_ids:
         lists = [run.get(qid, RankedList(qid, [])) for run in runs]

@@ -52,12 +52,15 @@ class Qrels:
     """Relevance grades keyed by (sample_id, passage_id).
 
     Later duplicate lines overwrite earlier ones; ``overwrites`` counts how
-    often that happened during loading.
+    often that happened during loading. Grades are also indexed by sample,
+    so per-sample lookups touch only that sample's grades; ``set`` is the
+    only writer.
     """
 
     def __init__(self) -> None:
         self.grades: dict[tuple[str, str], int] = {}
         self.overwrites = 0
+        self._by_sample: dict[str, dict[str, int]] = {}
 
     def set(self, sample_id: str, passage_id: str, grade: int) -> None:
         if grade < 0:
@@ -66,27 +69,19 @@ class Qrels:
         if key in self.grades:
             self.overwrites += 1
         self.grades[key] = grade
+        self._by_sample.setdefault(sample_id, {})[passage_id] = grade
 
     def grade(self, sample_id: str, passage_id: str) -> int:
         return self.grades.get((sample_id, passage_id), 0)
 
     def for_sample(self, sample_id: str) -> dict[str, int]:
-        return {
-            pid: g for (sid, pid), g in self.grades.items() if sid == sample_id
-        }
+        return dict(self._by_sample.get(sample_id, {}))
 
     def relevant_ids(self, sample_id: str) -> set[str]:
-        return {
-            pid
-            for (sid, pid), g in self.grades.items()
-            if sid == sample_id and g >= 1
-        }
+        return {pid for pid, g in self._by_sample.get(sample_id, {}).items() if g >= 1}
 
     def sample_ids(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for sid, _ in self.grades:
-            seen.setdefault(sid)
-        return list(seen)
+        return list(self._by_sample)
 
     def __len__(self) -> int:
         return len(self.grades)

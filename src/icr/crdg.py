@@ -16,6 +16,7 @@ emit at inference time.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -91,9 +92,11 @@ def generate_trajectory(
 
     A provider outage ends the trajectory with ``provider_failure`` and
     whatever accepted steps exist; empty generations consume resample
-    attempts like any other failed attempt.
+    attempts like any other failed attempt. F is computed once per distinct
+    text: failed rounds and echoed rewrites re-score the same text often.
     """
 
+    @functools.cache
     def score(text: str) -> QualityScore:
         return f_score(text, sample, sparse, dense, provider, config.f_mode)
 

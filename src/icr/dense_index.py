@@ -14,7 +14,7 @@ import os
 import threading
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Protocol
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import (
     ProviderMismatch,
     ProviderUnavailable,
 )
-from .ranking import RankedList, ranked_from_scores
+from .ranking import RankedList, id_ranks, top_k
 from .sparse_index import tokenize
 
 DENSE_FORMAT = "icr-dense-index"
@@ -155,6 +155,10 @@ class DenseIndex:
     ordinals: dict[str, int]
     provider_name: str
     dim: int
+    id_rank: np.ndarray = field(init=False)  # ordinal -> rank of its id
+
+    def __post_init__(self) -> None:
+        self.id_rank = id_ranks(self.ids)
 
     @property
     def doc_count(self) -> int:
@@ -223,9 +227,7 @@ def search_dense(
             f"searched with {provider.name!r} (dim {provider.dim})"
         )
     qv = embed(provider, query, role="query")
-    scores = index.vectors @ qv
-    by_id = {pid: float(scores[i]) for i, pid in enumerate(index.ids)}
-    return ranked_from_scores(tag if tag is not None else query, by_id, k)
+    return top_k(tag if tag is not None else query, index.vectors @ qv, index.ids, index.id_rank, k)
 
 
 def save_dense_index(index: DenseIndex, path: str) -> None:

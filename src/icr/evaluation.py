@@ -226,11 +226,15 @@ def delta_f_profile(
 def evaluate_run(run: Mapping[str, RankedList], qrels: Qrels) -> dict:
     """Score a run against qrels: per-sample metrics plus aggregates.
 
-    Every query in the run is scored; queries with no relevant judged
-    passage get zeros and ``degenerate: true``.
+    Every query in the run or the qrels is scored (``trec_eval -c``): a
+    judged query missing from the run scores zeros and is counted in
+    ``missing_from_run``, so a query that retrieved nothing cannot drop
+    out of the aggregates. Queries with no relevant judged passage get
+    zeros and ``degenerate: true``.
     """
     per_sample: dict[str, dict] = {}
-    for qid, ranked in run.items():
+    missing = {qid: RankedList(qid) for qid in qrels.sample_ids() if qid not in run}
+    for qid, ranked in {**run, **missing}.items():
         relevant = qrels.relevant_ids(qid)
         grades = qrels.for_sample(qid)
         ms = metric_set(ranked, relevant, grades)
@@ -242,6 +246,7 @@ def evaluate_run(run: Mapping[str, RankedList], qrels: Qrels) -> dict:
     }
     return {
         "num_samples": n,
+        "missing_from_run": len(missing),
         "degenerate_count": sum(1 for s in per_sample.values() if s["degenerate"]),
         "aggregate": aggregate,
         "per_sample": per_sample,

@@ -19,6 +19,7 @@ yield no ut/id pairs; a transform that cannot be built returns None.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .corpus import CQRSample
 from .crdg import CrdgConfig, Trajectory, TrajectoryStep, serialize_trajectory
 from .dense_index import DenseIndex, EmbeddingProvider
 from .errors import DataError, EmptyResponse, ProviderError
-from .evaluation import f_score
+from .evaluation import QualityScore, f_score
 from .genclient import generate_clarification, generate_rewrite, render_conversation
 from .sparse_index import SparseIndex
 
@@ -74,10 +75,16 @@ def make_overthinking(
 
     Each appended step is resampled up to the configured budget until its
     quality does not exceed the previous step's. With ``multi`` the number
-    of redundant steps is drawn uniformly from {1, 2, 3, 4}.
+    of redundant steps is drawn uniformly from {1, 2, 3, 4}. F is computed
+    once per distinct rewrite text.
     """
     if not trajectory.steps:
         return None
+
+    @functools.cache
+    def score(text: str) -> QualityScore:
+        return f_score(text, sample, sparse, dense, provider, config.f_mode)
+
     rng = rng or random.Random()
     k = rng.choice([1, 2, 3, 4]) if multi else 1
     current = trajectory.steps[-1].rewrite
@@ -91,7 +98,7 @@ def make_overthinking(
                 rewrite = generate_rewrite(client, sample.history, current, clarification, attempt)
             except EmptyResponse:
                 continue
-            quality = f_score(rewrite, sample, sparse, dense, provider, config.f_mode)
+            quality = score(rewrite)
             if quality.f <= bound:
                 step = TrajectoryStep(clarification, rewrite, quality, attempt + 1)
                 break

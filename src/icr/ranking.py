@@ -8,7 +8,9 @@ ascending, no duplicate ids, truncated to the requested depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import MalformedRecord
 
@@ -40,6 +42,44 @@ def ranked_from_scores(query_tag: str, scores: Mapping[str, float], k: int) -> R
     return RankedList(query_tag, ordered[:k])
 
 
+def id_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Position of each ordinal's id under Python string order, the
+    canonical tie-break; an index computes it once."""
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
+
+
+def top_k(
+    query_tag: str,
+    scores: np.ndarray,
+    ids: Sequence[str],
+    id_rank: np.ndarray,
+    k: int,
+    ords: np.ndarray | None = None,
+) -> RankedList:
+    """Top-k of a score array under the canonical (score desc, id asc) order.
+
+    ``scores[i]`` belongs to ordinal ``ords[i]``, or to ordinal ``i`` when
+    ``ords`` is None. Equal to ``ranked_from_scores`` over the same map: the
+    k-th largest score is found by partition, every candidate scoring at
+    least that much is kept (so ties straddling the cut stay exact), and
+    only those are sorted by (-score, id rank).
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if ords is None:
+        ords = np.arange(len(scores))
+    if len(scores) > k:
+        cut = len(scores) - k
+        keep = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
+        scores, ords = scores[keep], ords[keep]
+    order = np.lexsort((id_rank[ords], -scores))[:k]
+    return RankedList(
+        query_tag, list(zip([ids[o] for o in ords[order].tolist()], scores[order].tolist()))
+    )
+
+
 def write_run(lists: Iterable[RankedList], path: str, tag: str = "ICR") -> int:
     """Write ranked lists as TREC run lines: ``qid Q0 docid rank score tag``.
 
@@ -61,9 +101,11 @@ def write_run(lists: Iterable[RankedList], path: str, tag: str = "ICR") -> int:
 def read_run(path: str) -> dict[str, RankedList]:
     """Read a TREC run file into per-query RankedLists, keyed by query id.
 
-    Entries follow the file's rank column; queries keep first-seen order.
+    Entries follow the file's rank column (file order among equal ranks);
+    queries keep first-seen order. A docid repeated within one query is a
+    MalformedRecord, since a ranked list holds each passage once.
     """
-    per_query: dict[str, list[tuple[int, str, float]]] = {}
+    per_query: dict[str, list[tuple[int, int, str, float]]] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             parts = line.split()
@@ -77,9 +119,19 @@ def read_run(path: str) -> dict[str, RankedList]:
                 score = float(score_s)
             except ValueError as e:
                 raise MalformedRecord(path, line_no, f"bad rank/score: {e}") from e
-            per_query.setdefault(qid, []).append((rank, pid, score))
+            per_query.setdefault(qid, []).append((rank, line_no, pid, score))
     out: dict[str, RankedList] = {}
     for qid, rows in per_query.items():
-        rows.sort(key=lambda r: r[0])
-        out[qid] = RankedList(qid, [(pid, score) for _, pid, score in rows])
+        rows.sort()
+        if len({pid for _, _, pid, _ in rows}) != len(rows):
+            _raise_repeat(path, qid, rows)
+        out[qid] = RankedList(qid, [(pid, score) for _, _, pid, score in rows])
     return out
+
+
+def _raise_repeat(path: str, qid: str, rows: list[tuple[int, int, str, float]]) -> None:
+    seen: set[str] = set()
+    for _, line_no, pid, _ in sorted(rows, key=lambda r: r[1]):
+        if pid in seen:
+            raise MalformedRecord(path, line_no, f"docid {pid!r} repeats in query {qid!r}")
+        seen.add(pid)

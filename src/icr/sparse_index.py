@@ -12,26 +12,41 @@ deliberately simple (lowercase, split on non-alphanumeric runs, no
 stemming or stopwords) so independent scorers can reproduce results
 exactly. Indexes are immutable after build; concurrent searches over a
 shared index are safe.
+
+Postings are CSR arrays: term ``t`` owns row ``terms[t]``, whose passage
+ordinals (increasing) and term frequencies are ``ords`` and ``tfs`` over
+``offsets[row]:offsets[row + 1]``. Search scores term-at-a-time with
+vectorised adds in query-token order, so each passage's float additions
+happen in the same order as a per-posting loop and scores are
+bit-identical to it.
 """
 
 from __future__ import annotations
 
-import gzip
+import io
 import json
 import math
 import re
+import zipfile
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
+
+import numpy as np
 
 from .corpus import Passage
 from .errors import DataError, DuplicateId, EmptyCollection
-from .ranking import RankedList, ranked_from_scores
+from .ranking import RankedList, id_ranks, top_k
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 INDEX_FORMAT = "icr-sparse-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
+
+# Archive members in write order; each is an .npy array, ``meta`` holding
+# the JSON header (format, version, params, ids, terms) as UTF-8 bytes.
+_MEMBERS = ("meta", "offsets", "ord_gaps", "tfs", "doc_lengths")
+_FIXED_TIME = (1980, 1, 1, 0, 0, 0)
 
 
 def tokenize(text: str) -> list[str]:
@@ -61,11 +76,27 @@ BM25_PROFILES = {
 @dataclass
 class SparseIndex:
     params: Bm25Params
-    postings: dict[str, list[tuple[int, int]]]  # term -> [(ordinal, tf)], ordinal-sorted
-    doc_lengths: list[int]
-    avg_doc_length: float
+    terms: dict[str, int]  # term -> CSR row
+    offsets: np.ndarray  # int64, len(terms) + 1
+    ords: np.ndarray  # int32 passage ordinals, increasing within a row
+    tfs: np.ndarray  # int32 term frequencies, parallel to ords
+    doc_lengths: np.ndarray  # int64 token count per ordinal
     ids: list[str]  # ordinal -> passage id
-    ordinals: dict[str, int]  # passage id -> ordinal
+    avg_doc_length: float = field(init=False)
+    ordinals: dict[str, int] = field(init=False)  # passage id -> ordinal
+    id_rank: np.ndarray = field(init=False)  # ordinal -> rank of its id
+    # k1 * (1 - b + b * len(d) / avglen) per ordinal, the length part of
+    # the BM25 denominator in the scalar formula's operation order
+    length_norm: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        k1, b = self.params.k1, self.params.b
+        self.avg_doc_length = int(self.doc_lengths.sum()) / len(self.doc_lengths)
+        self.ordinals = dict(zip(self.ids, range(len(self.ids))))
+        self.id_rank = id_ranks(self.ids)
+        # an average of 0 means no passage has a token, so no norm is read
+        avg = self.avg_doc_length or 1.0
+        self.length_norm = k1 * (1.0 - b + b * self.doc_lengths / avg)
 
     @property
     def doc_count(self) -> int:
@@ -82,83 +113,160 @@ def build_sparse_index(collection: Iterable[Passage], params: Bm25Params | None 
     collection yields no passages and DuplicateId on repeated ids.
     """
     params = params or Bm25Params()
-    postings: dict[str, list[tuple[int, int]]] = {}
+    terms: dict[str, int] = {}
+    rows: list[int] = []
+    ords: list[int] = []
+    tfs: list[int] = []
     doc_lengths: list[int] = []
     ids: list[str] = []
-    ordinals: dict[str, int] = {}
+    seen: set[str] = set()
     for passage in collection:
-        if passage.id in ordinals:
+        if passage.id in seen:
             raise DuplicateId(passage.id)
+        seen.add(passage.id)
         ordinal = len(ids)
-        ordinals[passage.id] = ordinal
         ids.append(passage.id)
         tokens = tokenize(passage.text)
         doc_lengths.append(len(tokens))
         for term, tf in Counter(tokens).items():
-            postings.setdefault(term, []).append((ordinal, tf))
+            rows.append(terms.setdefault(term, len(terms)))
+            ords.append(ordinal)
+            tfs.append(tf)
     if not ids:
         raise EmptyCollection("cannot build an index over an empty collection")
-    avg = sum(doc_lengths) / len(doc_lengths)
-    return SparseIndex(params, postings, doc_lengths, avg, ids, ordinals)
+    # postings were gathered in ordinal order; a stable sort by row keeps
+    # that order within each row
+    row_arr = np.array(rows, dtype=np.int64)
+    order = np.argsort(row_arr, kind="stable")
+    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_arr, minlength=len(terms)), out=offsets[1:])
+    return SparseIndex(
+        params,
+        terms,
+        offsets,
+        np.array(ords, dtype=np.int32)[order],
+        np.array(tfs, dtype=np.int32)[order],
+        np.array(doc_lengths, dtype=np.int64),
+        ids,
+    )
 
 
 def search_sparse(index: SparseIndex, query: str, k: int, tag: str | None = None) -> RankedList:
     """BM25 top-k search; an unknown-terms query yields an empty list."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    k1, b = index.params.k1, index.params.b
+    k1 = index.params.k1
     n = index.doc_count
-    scores: dict[int, float] = {}
+    scores = np.zeros(n)
+    matched = np.zeros(n, dtype=bool)
     for term in tokenize(query):
-        plist = index.postings.get(term)
-        if not plist:
+        row = index.terms.get(term)
+        if row is None:
             continue
-        df = len(plist)
+        lo, hi = int(index.offsets[row]), int(index.offsets[row + 1])
+        ords, tfs = index.ords[lo:hi], index.tfs[lo:hi]
+        df = hi - lo
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        for ordinal, tf in plist:
-            norm = tf + k1 * (1.0 - b + b * index.doc_lengths[ordinal] / index.avg_doc_length)
-            scores[ordinal] = scores.get(ordinal, 0.0) + idf * tf * (k1 + 1.0) / norm
-    by_id = {index.ids[ordinal]: s for ordinal, s in scores.items()}
-    return ranked_from_scores(tag if tag is not None else query, by_id, k)
+        scores[ords] += idf * tfs * (k1 + 1.0) / (tfs + index.length_norm[ords])
+        matched[ords] = True
+    hits = np.flatnonzero(matched)
+    return top_k(tag if tag is not None else query, scores[hits], index.ids, index.id_rank, k, hits)
+
+
+def _ord_gaps(index: SparseIndex) -> np.ndarray:
+    """Ordinals delta-coded within each row (a row's first gap is its first
+    ordinal); small gaps compress far better than ordinals."""
+    gaps = np.diff(index.ords, prepend=0)
+    starts = index.offsets[:-1]
+    gaps[starts] = index.ords[starts]
+    return gaps
+
+
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """The smallest unsigned dtype holding every (non-negative) value; the
+    loader widens again, and there is less to inflate."""
+    return values.astype(np.min_scalar_type(int(values.max(initial=0))))
 
 
 def save_sparse_index(index: SparseIndex, path: str) -> None:
-    """Persist the index as a gzipped JSON artifact with a version header.
+    """Persist the index as a deflated archive of .npy members (npz layout).
 
-    Byte-identical for identical inputs (fixed gzip mtime, sorted keys).
+    Byte-identical for identical inputs: members have fixed names, order
+    and timestamps.
     """
-    payload = {
+    meta = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "params": {"k1": index.params.k1, "b": index.params.b},
         "ids": index.ids,
-        "doc_lengths": index.doc_lengths,
-        "postings": {t: [[o, tf] for o, tf in pl] for t, pl in index.postings.items()},
+        "terms": list(index.terms),
     }
-    data = json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-    with open(path, "wb") as fh:
-        with gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0) as gz:
-            gz.write(data.encode("utf-8"))
+    arrays = {
+        "meta": np.frombuffer(json.dumps(meta, ensure_ascii=False).encode("utf-8"), dtype=np.uint8),
+        "offsets": _narrow(index.offsets),
+        "ord_gaps": _narrow(_ord_gaps(index)),
+        "tfs": _narrow(index.tfs),
+        "doc_lengths": _narrow(index.doc_lengths),
+    }
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
+        for name in _MEMBERS:
+            buf = io.BytesIO()
+            np.lib.format.write_array(buf, arrays[name], allow_pickle=False)
+            info = zipfile.ZipInfo(f"{name}.npy", date_time=_FIXED_TIME)
+            info.compress_type = zipfile.ZIP_DEFLATED
+            zf.writestr(info, buf.getvalue())
+
+
+def _read_member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
+    with zf.open(f"{name}.npy") as fh:
+        return np.lib.format.read_array(fh, allow_pickle=False)
 
 
 def load_sparse_index(path: str) -> SparseIndex:
-    with gzip.open(path, "rt", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != INDEX_FORMAT:
-        raise DataError(f"{path}: not a sparse index artifact")
-    if payload.get("version") != INDEX_VERSION:
-        raise DataError(f"{path}: unsupported index version {payload.get('version')}")
-    ids = [str(i) for i in payload["ids"]]
-    doc_lengths = [int(x) for x in payload["doc_lengths"]]
-    postings = {
-        t: [(int(o), int(tf)) for o, tf in pl] for t, pl in payload["postings"].items()
-    }
-    avg = sum(doc_lengths) / len(doc_lengths) if doc_lengths else 0.0
+    """Load an index written by ``save_sparse_index`` (version 2 only)."""
+    with open(path, "rb") as fh:
+        if fh.read(2) == b"\x1f\x8b":
+            raise DataError(
+                f"{path}: sparse index version 1 (gzipped JSON) is no longer supported; "
+                f"re-run build-index to write version {INDEX_VERSION}"
+            )
+    try:
+        with zipfile.ZipFile(path) as zf:
+            meta = json.loads(_read_member(zf, "meta").tobytes().decode("utf-8"))
+            if not isinstance(meta, dict) or meta.get("format") != INDEX_FORMAT:
+                raise DataError(f"{path}: not a sparse index artifact")
+            if meta.get("version") != INDEX_VERSION:
+                raise DataError(
+                    f"{path}: unsupported sparse index version {meta.get('version')}; "
+                    f"re-run build-index to write version {INDEX_VERSION}"
+                )
+            offsets, gaps, tfs, doc_lengths = (_read_member(zf, name) for name in _MEMBERS[1:])
+            offsets = offsets.astype(np.int64)
+    except (KeyError, ValueError, zipfile.BadZipFile) as e:
+        raise DataError(f"{path}: not a sparse index artifact ({e})") from e
+    ids, terms = meta["ids"], meta["terms"]
+    if (
+        not ids
+        or len(doc_lengths) != len(ids)
+        or len(offsets) != len(terms) + 1
+        or offsets[0] != 0
+        or np.any(np.diff(offsets) < 1)
+        or offsets[-1] != len(gaps)
+        or len(tfs) != len(gaps)
+    ):
+        raise DataError(f"{path}: sparse index arrays are inconsistent")
+    # undo the delta coding: a running sum, restarted at each row
+    starts = offsets[:-1]
+    ords = np.cumsum(gaps, dtype=np.int64)
+    ords -= np.repeat(ords[starts] - gaps[starts], np.diff(offsets))
+    if len(ords) and (ords.min() < 0 or ords.max() >= len(ids)):
+        raise DataError(f"{path}: sparse index ordinals out of range")
     return SparseIndex(
-        Bm25Params(**payload["params"]),
-        postings,
-        doc_lengths,
-        avg,
+        Bm25Params(**meta["params"]),
+        dict(zip(terms, range(len(terms)))),
+        offsets,
+        ords.astype(np.int32),
+        tfs.astype(np.int32),
+        doc_lengths.astype(np.int64),
         ids,
-        {pid: i for i, pid in enumerate(ids)},
     )

@@ -90,3 +90,21 @@ def oracle_dense_topk(
         scored.append((pid, score))
     scored.sort(key=lambda e: (-e[1], e[0]))
     return scored[:k]
+
+
+def oracle_topk(scored: list[tuple[str, float]], k: int) -> list[tuple[str, float]]:
+    """Top-k (id, score) pairs under (score desc, id asc), without sorting.
+
+    Each entry's rank is the number of entries that precede it (higher
+    score, or an equal score and a smaller id), counted pair by pair.
+    Ids must be unique.
+    """
+    def precedes(a, b):
+        return a[1] > b[1] or (a[1] == b[1] and a[0] < b[0])
+
+    out = [None] * min(k, len(scored))
+    for entry in scored:
+        rank = sum(1 for other in scored if precedes(other, entry))
+        if rank < k:
+            out[rank] = entry
+    return out

@@ -103,6 +103,23 @@ def test_full_cli_workflow(ws, capsys):
     capsys.readouterr()
 
 
+DATA = Path(__file__).parent / "data"
+
+
+def test_crdg_and_prefdata_match_golden_outputs(ws):
+    """The goldens were written by the loop that computed F on every call,
+    before F was memoised per sample; outputs must stay byte-identical."""
+    sparse, dense = _build_indexes(ws)
+    common = ["--dataset", ws["dataset"], "--sparse-index", sparse, "--dense-index", dense,
+              "--mock-script", ws["script"], "--config", ws["config"]]
+    dcr, pref = ws["out"] / "dcr.jsonl", ws["out"] / "pref.jsonl"
+    assert main(["crdg", *common, "--out", str(dcr)]) == 0
+    assert main(["prefdata", "--crdg", str(dcr), *common, "--out", str(pref),
+                 "--multi-ot", "--seed", "3"]) == 0
+    assert dcr.read_bytes() == (DATA / "chain_dcr.golden.jsonl").read_bytes()
+    assert pref.read_bytes() == (DATA / "chain_pref.golden.jsonl").read_bytes()
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["crdg"]) == 1  # --out is required
     assert "usage error" in capsys.readouterr().err

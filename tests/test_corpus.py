@@ -157,3 +157,19 @@ def test_qrels_relevant_ids_excludes_grade_zero():
     qrels.set("s1", "p2", 3)
     assert qrels.relevant_ids("s1") == {"p2"}
     assert qrels.for_sample("s1") == {"p1": 0, "p2": 3}
+
+
+def test_qrels_sample_index_follows_overwrites():
+    qrels = Qrels()
+    qrels.set("s2", "p9", 1)
+    qrels.set("s1", "p1", 2)
+    qrels.set("s1", "p2", 1)
+    qrels.set("s1", "p1", 0)
+    assert qrels.overwrites == 1
+    assert qrels.for_sample("s1") == {"p1": 0, "p2": 1}
+    assert list(qrels.for_sample("s1")) == ["p1", "p2"]
+    assert qrels.relevant_ids("s1") == {"p2"}
+    assert qrels.sample_ids() == ["s2", "s1"]
+    assert qrels.for_sample("nope") == {} and qrels.relevant_ids("nope") == set()
+    qrels.for_sample("s1")["p3"] = 1  # a copy: the index is not changed
+    assert qrels.relevant_ids("s1") == {"p2"}

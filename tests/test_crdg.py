@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
+from icr import crdg
 from icr.corpus import CQRSample
 from icr.crdg import (
     CrdgConfig,
@@ -48,6 +50,27 @@ def test_three_improving_steps(tier_sparse, tier_dense, tier_provider, tier_samp
     assert traj.final_rewrite() == tier_query(4)
     # 3 accepted rounds (2 calls each) + 3 failed rounds of 4 attempts (8 calls each)
     assert mock.calls == 3 * 2 + 3 * 8
+
+
+def test_f_scored_once_per_distinct_text(
+    monkeypatch, tier_sparse, tier_dense, tier_provider, tier_sample
+):
+    # three failed rounds of four attempts echo the last accepted rewrite,
+    # and the unmemoised loop scored that text thirteen times
+    calls: Counter = Counter()
+    f_score = crdg.f_score
+
+    def counted(text, sample, *args):
+        calls[(sample.sample_id, text)] += 1
+        return f_score(text, sample, *args)
+
+    monkeypatch.setattr(crdg, "f_score", counted)
+    mock = improve_then_plateau(rounds=3, attempts=4)
+    config = CrdgConfig(early_stop=3, max_iters=10, resample_budget=3)
+    traj = generate_trajectory(tier_sample, mock, tier_sparse, tier_dense, tier_provider, config)
+    texts = [tier_query(m) for m in range(1, 5)]
+    assert calls == Counter({("s1", t): 1 for t in texts})
+    assert traj.f_path() == [f_score(t, tier_sample, tier_sparse, tier_dense, tier_provider).f for t in texts]
 
 
 def test_plateau_only_yields_empty_trajectory(tier_sparse, tier_dense, tier_provider, tier_sample):

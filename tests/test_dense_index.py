@@ -191,3 +191,25 @@ def test_build_outage_reports_progress():
     with pytest.raises(ProviderUnavailable) as err:
         build_dense_index(passages, provider, batch_size=2)
     assert "0 passages" in str(err.value)
+
+
+def test_top100_matches_oracle_with_ties():
+    # duplicated texts embed to equal vectors, so equal scores straddle
+    # the depth-100 cut; ids are out of collection order
+    rng = random.Random(41)
+    vocab = [f"w{i}" for i in range(8)]
+    texts = [" ".join(rng.choices(vocab, k=rng.randint(0, 4))) for _ in range(120)]
+    passages = [Passage(f"d{rng.randint(0, 10**6):07d}-{i}", t) for i, t in enumerate(texts * 2)]
+    rng.shuffle(passages)
+    provider = HashEmbeddingProvider(dim=16)
+    index = build_dense_index(passages, provider)
+    for _ in range(10):
+        query = " ".join(rng.choices(vocab, k=rng.randint(1, 4)))
+        got = search_dense(index, query, 100, provider)
+        want = oracle_dense_topk(
+            [p.id for p in passages], index.vectors.tolist(), embed(provider, query).tolist(), 100
+        )
+        assert len(got) == 100
+        assert got.ids() == [pid for pid, _ in want]
+        for (_, gs), (_, es) in zip(got.entries, want):
+            assert gs == pytest.approx(es, abs=1e-9)

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from icr import prefdata
 from icr.corpus import CQRSample
 from icr.crdg import CrdgConfig, Trajectory, TrajectoryStep, serialize_trajectory
 from icr.evaluation import MetricSet, QualityScore, f_score
@@ -81,6 +83,31 @@ def test_overthinking_unsatisfiable_returns_none(
     )
     assert ot is None
     assert mock.calls == 4 * 2
+
+
+def test_overthinking_scores_each_rewrite_once(
+    monkeypatch, tier_sparse, tier_dense, tier_provider, tier_sample, tier_quality
+):
+    # all four attempts propose the same improving rewrite
+    calls: Counter = Counter()
+
+    def counted(text, sample, *args):
+        calls[(sample.sample_id, text)] += 1
+        return f_score(text, sample, *args)
+
+    monkeypatch.setattr(prefdata, "f_score", counted)
+    chosen = _trajectory(1, last_rewrite=tier_query(3), last_f=tier_quality(3))
+    mock = ScriptedMock()
+    for attempt in range(4):
+        clar = f"more detail {attempt}?"
+        mock.add("clarify", clarify_fingerprint(tier_query(3)), clar, attempt)
+        mock.add("rewrite", rewrite_fingerprint(tier_query(3), clar), tier_query(4), attempt)
+    ot = make_overthinking(
+        chosen, tier_sample, mock, tier_sparse, tier_dense, tier_provider,
+        CrdgConfig(resample_budget=3),
+    )
+    assert ot is None
+    assert calls == Counter({("s1", tier_query(4)): 1})
 
 
 class _FixedChoiceRng:
