@@ -10,6 +10,7 @@ b 0.68, and explicit ``bm25.k1`` / ``bm25.b`` override either profile.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .crdg import CrdgConfig
@@ -35,6 +36,8 @@ def _parse_float(key: str, raw: str, minimum: float | None = None, exclusive: bo
         value = float(raw)
     except ValueError:
         raise TypeMismatch(key, f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise TypeMismatch(key, f"expected a finite number, got {raw!r}")
     if minimum is not None:
         if exclusive and value <= minimum:
             raise TypeMismatch(key, f"must be > {minimum}, got {value}")

@@ -27,7 +27,7 @@ from .corpus import CQRSample
 from .dense_index import DenseIndex, EmbeddingProvider
 from .errors import DataError, EmptyResponse, ProviderError, ProviderUnavailable
 from .evaluation import QualityScore, f_score, quality_from_dict
-from .genclient import generate_clarification, generate_rewrite
+from .genclient import generate_clarification, generate_rewrite, run_in_order
 from .sparse_index import SparseIndex
 
 CLARIFICATION_MARKER = "[Clarification]"
@@ -247,48 +247,74 @@ def build_crdg_dataset(
     out_path: str,
     seed: int = 0,
 ) -> BuildStats:
-    """Write one JSONL trajectory record per sample.
+    """Write one JSONL trajectory record per sample, in input order.
 
     Per-sample data errors (e.g. gold passages missing from the
     collection) become records with an ``error`` field instead of aborting
     the run. The output file doubles as the completion log: on rerun,
-    samples already present are skipped, so an interrupted build resumes
-    where it stopped. With a deterministic client the output is
-    byte-reproducible for a fixed seed and config.
+    samples with a good record are skipped, so an interrupted build resumes
+    where it stopped, and samples whose record is an error or a
+    ``provider_failure`` trajectory run again. Samples run concurrently up
+    to the client's ``max_in_flight``. With a deterministic client the
+    output is byte-reproducible for a fixed seed and config.
     """
     del seed  # recorded by the caller's manifest; the loop itself draws nothing
     stats = BuildStats()
-    done: set[str] = set()
-    if os.path.exists(out_path):
-        # an interrupted run may leave a partial trailing line; keep only
-        # intact records and truncate the rest before appending
-        keep = 0
-        with open(out_path, "rb") as fh:
-            for line in fh:
-                if not line.endswith(b"\n"):
-                    break
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    break
-                done.add(record["sample_id"])
-                keep += len(line)
-        if keep < os.path.getsize(out_path):
-            with open(out_path, "r+b") as fh:
-                fh.truncate(keep)
+    done = _resume(out_path)
+    todo = []
+    for sample in samples:
+        if sample.sample_id in done:
+            stats.skipped += 1
+        else:
+            todo.append(sample)
+
+    def build(client, sample: CQRSample) -> dict:
+        try:
+            return trajectory_to_record(
+                generate_trajectory(sample, client, sparse, dense, provider, config)
+            )
+        except (DataError, ProviderError) as e:
+            return {"sample_id": sample.sample_id, "error": str(e)}
+
     with open(out_path, "a", encoding="utf-8") as fh:
-        for sample in samples:
-            if sample.sample_id in done:
-                stats.skipped += 1
-                continue
-            try:
-                record = trajectory_to_record(
-                    generate_trajectory(sample, client, sparse, dense, provider, config)
-                )
-            except (DataError, ProviderError) as e:
-                record = {"sample_id": sample.sample_id, "error": str(e)}
-                stats.errors += 1
+        for record in run_in_order(client, build, todo):
+            stats.errors += "error" in record
             fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
             fh.flush()
             stats.written += 1
     return stats
+
+
+def _resume(out_path: str) -> set[str]:
+    """Sample ids with a good record in an earlier run's output.
+
+    Only intact good records are kept, in order: a partial trailing line
+    left by an interrupted run (and anything after it), error records and
+    ``provider_failure`` trajectories are dropped, rewriting the file
+    atomically, so their samples run again.
+    """
+    done: set[str] = set()
+    if not os.path.exists(out_path):
+        return done
+    kept: list[bytes] = []
+    dropped = False
+    with open(out_path, "rb") as fh:
+        for line in fh:
+            try:
+                record = json.loads(line) if line.endswith(b"\n") else None
+            except ValueError:
+                record = None
+            if record is None:
+                dropped = True
+                break
+            if "error" in record or record.get("stop_reason") == STOP_PROVIDER_FAILURE:
+                dropped = True
+                continue
+            done.add(record["sample_id"])
+            kept.append(line)
+    if dropped:
+        tmp = out_path + ".tmp"
+        with open(tmp, "wb") as fh:
+            fh.writelines(kept)
+        os.replace(tmp, out_path)
+    return done

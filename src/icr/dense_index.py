@@ -15,10 +15,9 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol
+from typing import TYPE_CHECKING, Iterable, Protocol
 
 import numpy as np
-import requests
 
 from .corpus import Passage
 from .errors import (
@@ -31,6 +30,9 @@ from .errors import (
 )
 from .ranking import RankedList, id_ranks, top_k
 from .sparse_index import tokenize
+
+if TYPE_CHECKING:
+    import requests
 
 DENSE_FORMAT = "icr-dense-index"
 DENSE_VERSION = 1
@@ -101,11 +103,17 @@ class RemoteEmbeddingProvider:
         self.max_retries = max_retries
         self.backoff_seconds = backoff_seconds
         self.timeout = timeout
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
         self._sleep = sleep
         self._slots = threading.BoundedSemaphore(max_in_flight)
 
     def embed_batch(self, texts: list[str], role: str | None = None) -> np.ndarray:
+        import requests
+
         if not texts:
             return np.zeros((0, self.dim), dtype=np.float64)
         payload: dict = {"texts": list(texts)}

@@ -15,6 +15,10 @@ clarified, or query + clarification being rewritten) independently of the
 prompt wording, so mock scripts stay readable. ``attempt`` distinguishes
 resamples: the mock scripts them separately and the remote client bumps
 temperature and a nonce.
+
+A client may also declare ``max_in_flight``, the number of ``generate``
+calls it serves at once (1 when absent). ``run_in_order`` runs that many
+samples concurrently and hands back their results in input order.
 """
 
 from __future__ import annotations
@@ -23,12 +27,16 @@ import json
 import os
 import threading
 import time
-from typing import Sequence
-
-import requests
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .corpus import Turn
 from .errors import EmptyResponse, MissingRequired, MissingScriptEntry, ProviderUnavailable
+
+if TYPE_CHECKING:
+    import requests
 
 GEN_URL_ENV = "ICR_GEN_URL"
 GEN_KEY_ENV = "ICR_GEN_KEY"
@@ -123,8 +131,12 @@ class ScriptedMock:
     """Deterministic generator backed by a response table.
 
     The script maps (kind, fingerprint, attempt) to a response string.
-    ``calls`` counts lookups, which tests use to verify control flow.
+    ``calls`` counts lookups, which tests use to verify control flow. A
+    lookup has no wait to overlap (and ``calls`` is not synchronised), so
+    the mock serves one call at a time.
     """
+
+    max_in_flight = 1
 
     def __init__(self, script: dict[tuple[str, str, int], str] | None = None):
         self.script = dict(script or {})
@@ -199,6 +211,11 @@ class RemoteChatClient:
     read from ``choices[0].message.content``. Resamples (attempt > 0) bump
     temperature by 0.1 per attempt and send the attempt as a seed nonce so
     the endpoint is not asked the exact same question twice.
+
+    Connection errors, 429 and 5xx responses and unreadable bodies are
+    retried with exponential backoff; any other 4xx fails at once. The rate
+    limiter is consulted before every attempt, retries included. In a
+    ``run_in_order`` batch that has stopped, no further attempt is made.
     """
 
     def __init__(
@@ -222,8 +239,13 @@ class RemoteChatClient:
         self.max_retries = max_retries
         self.backoff_seconds = backoff_seconds
         self.timeout = timeout
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
         self._sleep = sleep
+        self.max_in_flight = max_in_flight
         self._slots = threading.BoundedSemaphore(max_in_flight)
         self._limiter = _RateLimiter(requests_per_second, sleep=sleep) if requests_per_second else None
 
@@ -240,6 +262,8 @@ class RemoteChatClient:
         )
 
     def generate(self, kind: str, fingerprint: str, prompt: str, attempt: int = 0) -> str:
+        import requests
+
         payload: dict = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -251,21 +275,106 @@ class RemoteChatClient:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         with self._slots:
-            if self._limiter is not None:
-                self._limiter.wait()
-            last_err: Exception | None = None
+            last_err: object = None
             for i in range(self.max_retries + 1):
+                if i:
+                    _check_batch()
+                    self._sleep(self.backoff_seconds * (2 ** (i - 1)))
+                    _check_batch()
+                if self._limiter is not None:
+                    self._limiter.wait()
                 try:
                     resp = self.session.post(self.url, json=payload, headers=headers, timeout=self.timeout)
-                    if resp.status_code == 429 or resp.status_code >= 500:
-                        raise requests.HTTPError(f"retryable status {resp.status_code}")
-                    resp.raise_for_status()
-                    return str(resp.json()["choices"][0]["message"]["content"])
-                except (requests.RequestException, KeyError, ValueError, TypeError) as e:
+                except requests.RequestException as e:
                     last_err = e
-                    if i < self.max_retries:
-                        self._sleep(self.backoff_seconds * (2**i))
+                    continue
+                if resp.status_code == 429 or resp.status_code >= 500:
+                    last_err = f"retryable status {resp.status_code}"
+                    continue
+                if resp.status_code >= 400:
+                    raise ProviderUnavailable(f"generator endpoint {self.url} failed: status {resp.status_code}")
+                try:
+                    return str(resp.json()["choices"][0]["message"]["content"])
+                except (KeyError, IndexError, ValueError, TypeError) as e:
+                    last_err = e
         raise ProviderUnavailable(f"generator endpoint {self.url} failed: {last_err}")
+
+
+class _Stopped(BaseException):
+    """Raised in a worker of a batch that has already failed or been left."""
+
+
+_batch = threading.local()  # in a pool thread: the stop event of its batch
+
+
+def _bind_batch(stopped: threading.Event) -> None:
+    _batch.stopped = stopped
+
+
+def _check_batch() -> None:
+    """Raise ``_Stopped`` in a pool thread whose batch has stopped; a no-op
+    in any other thread."""
+    stopped = getattr(_batch, "stopped", None)
+    if stopped is not None and stopped.is_set():
+        raise _Stopped
+
+
+class _Guard:
+    """Client view shared by one batch's workers; once the batch stops, no
+    further ``generate`` call reaches the client."""
+
+    def __init__(self, client):
+        self._client = client
+        self.stopped = threading.Event()
+        self.errors: list[BaseException] = []  # in the order the workers failed
+
+    def __getattr__(self, name):
+        return getattr(self._client, name)
+
+    def generate(self, kind: str, fingerprint: str, prompt: str, attempt: int = 0) -> str:
+        _check_batch()
+        return self._client.generate(kind, fingerprint, prompt, attempt)
+
+    def run(self, work, item):
+        _check_batch()
+        try:
+            return work(self, item)
+        except _Stopped:
+            raise
+        except BaseException as e:
+            self.errors.append(e)
+            self.stopped.set()
+            raise
+
+
+def run_in_order(client, work: Callable, items: Iterable) -> Iterator:
+    """Yield ``work(client, item)`` for every item, in input order.
+
+    Up to ``client.max_in_flight`` items run at once on a thread pool of
+    that width, so no call queues for one of the client's in-flight slots.
+    At most twice that many items are taken ahead of the one being yielded.
+    When a worker raises, or the caller stops early (an error, an
+    interrupt, or closing the iterator), pending items are cancelled,
+    running ones stop at their next ``generate`` call or retry, and the
+    caller does not wait for them. The first worker error is the one raised.
+    """
+    width = getattr(client, "max_in_flight", 1)
+    guard = _Guard(client)
+    pool = ThreadPoolExecutor(
+        max_workers=width, thread_name_prefix="icr-gen", initializer=_bind_batch, initargs=(guard.stopped,)
+    )
+    items = iter(items)
+    try:
+        pending = deque(pool.submit(guard.run, work, item) for item in islice(items, 2 * width))
+        while pending:
+            future = pending.popleft()
+            if future.exception() is not None:
+                raise guard.errors[0]
+            pending.extend(pool.submit(guard.run, work, item) for item in islice(items, 1))
+            yield future.result()
+    finally:
+        guard.stopped.set()
+        pool.shutdown(wait=False, cancel_futures=True)
 
 
 def generate_clarification(client, query: str, attempt: int = 0) -> str:

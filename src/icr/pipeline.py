@@ -30,6 +30,7 @@ from .genclient import (
     generate_rewrite,
     generate_trajectory_text,
     rewrite_fingerprint,
+    run_in_order,
 )
 from .ranking import RankedList, write_run
 from .sparse_index import SparseIndex, search_sparse
@@ -153,33 +154,41 @@ def run_batch(
     dense: DenseIndex | None = None,
     provider: EmbeddingProvider | None = None,
 ) -> dict[str, list[InferenceResult]]:
-    """Run inference over samples; results keyed by retriever name.
+    """Run inference over samples; results keyed by retriever name, in
+    sample order.
 
     Generation happens once per sample and its wall-clock time (retrieval
-    excluded) is recorded on every retriever's result.
+    excluded) is recorded on every retriever's result. Samples run
+    concurrently up to the client's ``max_in_flight``, which never exceeds
+    its in-flight slots, so the time measured is the generator's own.
     """
     searchers = _searchers(config, sparse, dense, provider)
-    results: dict[str, list[InferenceResult]] = {name: [] for name in searchers}
-    for sample in samples:
+
+    def infer(client, sample: CQRSample) -> dict[str, InferenceResult]:
         start = time.perf_counter()
         text = run_inference(sample, client, config)
         latency = time.perf_counter() - start
         queries = extract_queries(text)
+        out = {}
         for name, searcher in searchers.items():
             runs, fused, used_fallback = retrieve_and_fuse(
                 queries, searcher, config, sample.sample_id, sample.query
             )
-            results[name].append(
-                InferenceResult(
-                    sample_id=sample.sample_id,
-                    trajectory_text=text,
-                    queries=list(queries),
-                    per_query_runs=runs,
-                    fused=fused,
-                    latency_seconds=latency,
-                    used_fallback=used_fallback,
-                )
+            out[name] = InferenceResult(
+                sample_id=sample.sample_id,
+                trajectory_text=text,
+                queries=list(queries),
+                per_query_runs=runs,
+                fused=fused,
+                latency_seconds=latency,
+                used_fallback=used_fallback,
             )
+        return out
+
+    results: dict[str, list[InferenceResult]] = {name: [] for name in searchers}
+    for per_retriever in run_in_order(client, infer, samples):
+        for name, result in per_retriever.items():
+            results[name].append(result)
     return results
 
 

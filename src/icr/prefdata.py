@@ -23,14 +23,14 @@ import functools
 import json
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import CQRSample
 from .crdg import CrdgConfig, Trajectory, TrajectoryStep, serialize_trajectory
 from .dense_index import DenseIndex, EmbeddingProvider
 from .errors import DataError, EmptyResponse, ProviderError
 from .evaluation import QualityScore, f_score
-from .genclient import generate_clarification, generate_rewrite, render_conversation
+from .genclient import generate_clarification, generate_rewrite, render_conversation, run_in_order
 from .sparse_index import SparseIndex
 
 DIMENSIONS = ("ot", "ut", "id")
@@ -73,20 +73,41 @@ def make_overthinking(
 ) -> Trajectory | None:
     """Extend a trajectory with redundant steps; None if not constructible.
 
-    Each appended step is resampled up to the configured budget until its
-    quality does not exceed the previous step's. With ``multi`` the number
-    of redundant steps is drawn uniformly from {1, 2, 3, 4}. F is computed
-    once per distinct rewrite text.
+    With ``multi`` the number of redundant steps is drawn uniformly from
+    {1, 2, 3, 4}; otherwise one step is appended.
     """
     if not trajectory.steps:
         return None
+    k = _redundant_steps(multi, rng or random.Random())
+    return extend_redundantly(trajectory, sample, client, sparse, dense, provider, config, k)
+
+
+def _redundant_steps(multi: bool, rng: random.Random) -> int:
+    return rng.choice([1, 2, 3, 4]) if multi else 1
+
+
+def extend_redundantly(
+    trajectory: Trajectory,
+    sample: CQRSample,
+    client,
+    sparse: SparseIndex | None,
+    dense: DenseIndex | None,
+    provider: EmbeddingProvider | None,
+    config: CrdgConfig,
+    k: int,
+) -> Trajectory | None:
+    """Append ``k`` redundant steps to a non-empty trajectory; None if not
+    constructible.
+
+    Each appended step is resampled up to the configured budget until its
+    quality does not exceed the previous step's. F is computed once per
+    distinct rewrite text.
+    """
 
     @functools.cache
     def score(text: str) -> QualityScore:
         return f_score(text, sample, sparse, dense, provider, config.f_mode)
 
-    rng = rng or random.Random()
-    k = rng.choice([1, 2, 3, 4]) if multi else 1
     current = trajectory.steps[-1].rewrite
     bound = trajectory.steps[-1].f_score.f
     appended: list[TrajectoryStep] = []
@@ -195,6 +216,17 @@ class PrefStats:
         return self.ot + self.ut + self.id
 
 
+class _Plan(NamedTuple):
+    """One trajectory's random draws: the number of overthinking steps
+    (0 when it has none) and its ut and id transforms."""
+
+    trajectory: Trajectory
+    sample: CQRSample | None
+    ot_steps: int
+    ut: tuple[Trajectory, int] | None
+    ins: tuple[Trajectory, int] | None
+
+
 def build_pref_dataset(
     trajectories: Sequence[Trajectory],
     samples: Sequence[CQRSample],
@@ -211,31 +243,50 @@ def build_pref_dataset(
     (when constructible) and one ut and id per trajectory with >= 2 steps.
 
     Per-record failures become JSONL records with an ``error`` field and
-    the run continues. Deterministic for a fixed seed and client.
+    the run continues. Deterministic for a fixed seed and client: every
+    random draw depends only on a trajectory's step count, so all of them
+    are made first, in trajectory order, and only the overthinking
+    generation runs concurrently (up to the client's ``max_in_flight``).
     """
     by_id = {s.sample_id: s for s in samples}
     rng = random.Random(seed)
+    plans: list[_Plan] = []
+    for trajectory in trajectories:
+        sample = by_id.get(trajectory.sample_id)
+        if sample is None:
+            plans.append(_Plan(trajectory, None, 0, None, None))
+            continue
+        k = _redundant_steps(multi_ot, rng) if trajectory.steps else 0
+        ut = make_underthinking(trajectory, rng)
+        ins = make_insufficient_decomposition(trajectory, rng)
+        plans.append(_Plan(trajectory, sample, k, ut, ins))
+
+    def overthink(client, plan: _Plan) -> Trajectory | Exception | None:
+        if not plan.ot_steps:
+            return None
+        try:
+            return extend_redundantly(
+                plan.trajectory, plan.sample, client, sparse, dense, provider, config, plan.ot_steps
+            )
+        except (DataError, ProviderError) as e:
+            return e
+
     stats = PrefStats()
     with open(out_path, "w", encoding="utf-8") as fh:
 
         def emit(obj: dict) -> None:
             fh.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
 
-        for trajectory in trajectories:
-            sample = by_id.get(trajectory.sample_id)
+        for plan, ot in zip(plans, run_in_order(client, overthink, plans)):
+            trajectory, sample = plan.trajectory, plan.sample
             if sample is None:
                 emit({"sample_id": trajectory.sample_id, "error": "sample not found in dataset"})
                 stats.errors += 1
                 continue
             context = render_conversation(sample.history, sample.query)
-            if trajectory.steps:
-                try:
-                    ot = make_overthinking(
-                        trajectory, sample, client, sparse, dense, provider, config,
-                        multi=multi_ot, rng=rng,
-                    )
-                except (DataError, ProviderError) as e:
-                    emit({"sample_id": trajectory.sample_id, "dimension": "ot", "error": str(e)})
+            if plan.ot_steps:
+                if isinstance(ot, Exception):
+                    emit({"sample_id": trajectory.sample_id, "dimension": "ot", "error": str(ot)})
                     stats.errors += 1
                     ot = None
                 if ot is not None:
@@ -244,14 +295,12 @@ def build_pref_dataset(
                     stats.ot += 1
                 else:
                     stats.not_constructible += 1
-            ut = make_underthinking(trajectory, rng)
-            if ut is not None:
-                rejected, e = ut
+            if plan.ut is not None:
+                rejected, e = plan.ut
                 emit(_pair(trajectory, context, rejected, "ut", {"e": e}).as_dict())
                 stats.ut += 1
-            ins = make_insufficient_decomposition(trajectory, rng)
-            if ins is not None:
-                rejected, j = ins
+            if plan.ins is not None:
+                rejected, j = plan.ins
                 emit(_pair(trajectory, context, rejected, "id", {"j": j}).as_dict())
                 stats.id += 1
     return stats

@@ -40,6 +40,16 @@ def test_type_errors():
         parse_config_text("just some words")
 
 
+@pytest.mark.parametrize(
+    "key, raw",
+    [("bm25.k1", "nan"), ("bm25.k1", "inf"), ("fusion.k", "nan"), ("gen.temperature", "inf")],
+)
+def test_non_finite_numbers_rejected(key, raw):
+    with pytest.raises(TypeMismatch) as err:
+        resolve_config(parse_config_text(f"{key} = {raw}"))
+    assert err.value.key == key
+
+
 def test_qrecc_profile():
     cfg = resolve_config(parse_config_text("bm25.profile = qrecc"))
     assert cfg.bm25 == Bm25Params(k1=0.82, b=0.68)

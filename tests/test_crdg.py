@@ -304,6 +304,44 @@ def test_build_dataset_recovers_from_partial_line(
     assert [r["sample_id"] for r in records] == ["s1", "s2", "s3"]
 
 
+def test_resume_reruns_provider_failures(tmp_path, tier_sample, tier_sparse, tier_dense, tier_provider):
+    # s1 takes 30 calls; the outage starts inside s2 and covers s4
+    samples = [tier_sample, CQRSample("s2", [], "kelpie", {"gold"}), CQRSample("s4", [], tier_query(1), {"gold"})]
+    out = tmp_path / "dcr.jsonl"
+    first = build_crdg_dataset(
+        samples, FailingClient(_three_sample_mock(), fail_after=35), tier_sparse, tier_dense,
+        tier_provider, CrdgConfig(), str(out),
+    )
+    assert [r["stop_reason"] for r in read_crdg_records(str(out))] == [
+        "early_stop", "provider_failure", "provider_failure",
+    ]
+    assert first.written == 3
+    second = build_crdg_dataset(
+        samples, _three_sample_mock(), tier_sparse, tier_dense, tier_provider, CrdgConfig(), str(out),
+    )
+    assert (second.skipped, second.written) == (1, 2)
+    records = read_crdg_records(str(out))
+    assert [r["sample_id"] for r in records] == ["s1", "s2", "s4"]
+    assert [r["stop_reason"] for r in records] == ["early_stop"] * 3
+    assert records[2] == {**records[0], "sample_id": "s4"}
+    assert [p.name for p in tmp_path.iterdir()] == ["dcr.jsonl"]
+
+
+def test_resume_reruns_error_records(tmp_path, tier_sample, tier_sparse, tier_dense, tier_provider):
+    out = tmp_path / "dcr.jsonl"
+    build_crdg_dataset(
+        [tier_sample], improve_then_plateau(3, 4), tier_sparse, tier_dense,
+        _FlakyProvider(tier_provider, fail_after=0), CrdgConfig(), str(out),
+    )
+    assert "error" in read_crdg_records(str(out))[0]
+    stats = build_crdg_dataset(
+        [tier_sample], improve_then_plateau(3, 4), tier_sparse, tier_dense, tier_provider, CrdgConfig(), str(out),
+    )
+    assert (stats.skipped, stats.written, stats.errors) == (0, 1, 0)
+    records = read_crdg_records(str(out))
+    assert len(records) == 1 and "error" not in records[0]
+
+
 def test_build_dataset_byte_reproducible(
     tmp_path, three_samples, tier_sparse, tier_dense, tier_provider
 ):

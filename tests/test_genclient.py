@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from icr.genclient import (
     render_clarify_prompt,
     render_conversation,
     render_rewrite_prompt,
+    run_in_order,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -212,3 +214,80 @@ def test_remote_client_concurrent_calls_share_session():
         t.join()
     assert not errors
     assert len(session.payloads) == 8
+
+
+def test_remote_client_fails_at_once_on_client_error():
+    sleeps = []
+    session = _FakeSession([_FakeResponse(status_code=404)] * 4)
+    client = RemoteChatClient("http://x/chat", session=session, sleep=sleeps.append)
+    with pytest.raises(ProviderUnavailable, match="404"):
+        client.generate("clarify", "q", "prompt", 0)
+    assert len(session.payloads) == 1
+    assert sleeps == []
+
+
+def test_remote_client_rate_limits_every_attempt():
+    sleeps = []
+    session = _FakeSession(
+        [_FakeResponse(status_code=429), _FakeResponse(status_code=429), _FakeResponse(payload=_chat_payload("ok"))]
+    )
+    client = RemoteChatClient(
+        "http://x/chat", requests_per_second=100.0, session=session, sleep=sleeps.append
+    )
+    assert client.generate("clarify", "q", "prompt", 0) == "ok"
+    backoffs = [s for s in sleeps if s >= 0.5]
+    limiter_waits = [s for s in sleeps if s < 0.5]
+    assert backoffs == [0.5, 1.0]
+    # the first attempt is free; each retry queues behind a 10ms slot
+    assert len(limiter_waits) == 2
+    assert all(0 < s <= 0.025 for s in limiter_waits)
+
+
+def test_client_widths():
+    assert ScriptedMock().max_in_flight == 1
+    client = RemoteChatClient("http://x/chat", max_in_flight=3, session=_FakeSession([]))
+    assert client.max_in_flight == 3
+
+
+def test_leaving_a_batch_does_not_wait_for_requests_in_flight():
+    # x0 is answered at once; x1 and x2 hang until released, then get a 503
+    release = threading.Event()
+    prompts = []
+
+    class HangingSession:
+        def post(self, url, json=None, headers=None, timeout=None):
+            prompt = json["messages"][0]["content"]
+            prompts.append(prompt)
+            if prompt == "x0":
+                return _FakeResponse(payload=_chat_payload("ok"))
+            release.wait(5)
+            return _FakeResponse(status_code=503)
+
+    client = RemoteChatClient("http://x/chat", max_in_flight=2, session=HangingSession(), sleep=lambda s: None)
+    results = run_in_order(client, lambda c, q: c.generate("clarify", q, q), ["x0", "x1", "x2", "x3"])
+    assert next(results) == "ok"
+    deadline = time.monotonic() + 5
+    while len(prompts) < 3 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert sorted(prompts) == ["x0", "x1", "x2"]
+    left = time.monotonic()
+    results.close()
+    assert time.monotonic() - left < 1.0
+    release.set()
+    while any(t.name.startswith("icr-gen") for t in threading.enumerate()) and time.monotonic() < deadline:
+        time.sleep(0.001)
+    # the two hanging requests were not retried, and x3 never started
+    assert sorted(prompts) == ["x0", "x1", "x2"]
+
+
+def test_cli_import_does_not_load_requests():
+    import os
+    import subprocess
+    import sys
+
+    import icr
+
+    env = dict(os.environ, PYTHONPATH=str(Path(icr.__file__).resolve().parents[1]))
+    code = "import sys; import icr.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
