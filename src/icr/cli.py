@@ -27,11 +27,11 @@ from .dense_index import (
     save_dense_index,
 )
 from .errors import DataError, MissingRequired, ProviderError
-from .evaluation import delta_f_profile, evaluate_run, gsr, lsr
+from .evaluation import MODE_RETRIEVERS, delta_f_profile, evaluate_run, gsr, lsr
 from .fusion import FusionConfig, fuse
 from .genclient import RemoteChatClient, ScriptedMock
 from .manifest import RunManifest
-from .pipeline import emit_per_query_runs, emit_run, measure_latency, run_batch
+from .pipeline import RETRIEVER_CHOICES, emit_per_query_runs, emit_run, measure_latency, run_batch
 from .ranking import RankedList, read_run, write_run
 from .sparse_index import build_sparse_index, load_sparse_index, save_sparse_index
 
@@ -68,7 +68,9 @@ def _make_provider(args, config: Config):
     return HashEmbeddingProvider(dim=config.dense_dim)
 
 
-def _load_indexes(args, config: Config, need_sparse: bool, need_dense: bool):
+def _load_indexes(args, mode: str):
+    """The indexes (and the dense side's provider) that ``mode`` searches."""
+    need_sparse, need_dense = MODE_RETRIEVERS[mode]
     sparse = dense = provider = None
     if need_sparse:
         sparse = load_sparse_index(_require_path(args.sparse_index, "--sparse-index"))
@@ -123,9 +125,7 @@ def cmd_embed_index(args) -> int:
 def cmd_crdg(args) -> int:
     config = load_config(args.config)
     dataset_path, samples = _dataset(args, config)
-    need_dense = config.crdg.f_mode in ("both", "dense_only")
-    need_sparse = config.crdg.f_mode in ("both", "sparse_only")
-    sparse, dense, provider = _load_indexes(args, config, need_sparse, need_dense)
+    sparse, dense, provider = _load_indexes(args, config.crdg.f_mode)
     client = _make_client(args, config)
     stats = crdg_mod.build_crdg_dataset(
         samples, client, sparse, dense, provider, config.crdg, args.out, seed=args.seed
@@ -143,9 +143,7 @@ def cmd_prefdata(args) -> int:
     config = load_config(args.config)
     dataset_path, samples = _dataset(args, config)
     trajectories = crdg_mod.load_trajectories(args.crdg)
-    need_dense = config.crdg.f_mode in ("both", "dense_only")
-    need_sparse = config.crdg.f_mode in ("both", "sparse_only")
-    sparse, dense, provider = _load_indexes(args, config, need_sparse, need_dense)
+    sparse, dense, provider = _load_indexes(args, config.crdg.f_mode)
     client = _make_client(args, config)
     stats = prefdata_mod.build_pref_dataset(
         trajectories, samples, client, sparse, dense, provider, config.crdg,
@@ -187,9 +185,7 @@ def cmd_infer(args) -> int:
     if args.retriever:
         inference.retriever = args.retriever
     inference.step_wise = args.step_wise
-    need_sparse = inference.retriever in ("sparse", "both-report")
-    need_dense = inference.retriever in ("dense", "both-report")
-    sparse, dense, provider = _load_indexes(args, config, need_sparse, need_dense)
+    sparse, dense, provider = _load_indexes(args, inference.retriever)
     client = _make_client(args, config)
     results = run_batch(samples, client, inference, sparse, dense, provider)
     manifest = RunManifest("infer", config.raw, seed=args.seed)
@@ -353,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="iterative inference, retrieval, and fusion")
     p.add_argument("--dataset")
     p.add_argument("--out", required=True, help="fused TREC run path")
-    p.add_argument("--retriever", choices=("sparse", "dense", "both-report"))
+    p.add_argument("--retriever", choices=RETRIEVER_CHOICES)
     p.add_argument("--per-query-dir", help="also write one TREC run per iteration index")
     p.add_argument("--step-wise", action="store_true", help="drive clarify/rewrite prompts round by round")
     _add_index_args(p)

@@ -21,7 +21,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import CQRSample
 from .dense_index import DenseIndex, EmbeddingProvider
@@ -37,7 +37,10 @@ STOP_EARLY = "early_stop"
 STOP_MAX_ITERATIONS = "max_iterations"
 STOP_PROVIDER_FAILURE = "provider_failure"
 
-_MARKER_RE = re.compile(r"\[(Clarification|Rewrite)\]")
+_MARKERS = "|".join(map(re.escape, (CLARIFICATION_MARKER, REWRITE_MARKER)))
+# One match per segment: group 1 is its marker, group 2 its payload, and the
+# segment runs to the next marker or the end of the text.
+_SEGMENT_RE = re.compile(f"({_MARKERS})(.*?)(?={_MARKERS}|\\Z)", re.DOTALL)
 
 
 @dataclass
@@ -133,11 +136,13 @@ def generate_trajectory(
     return traj
 
 
+def _format_pairs(pairs: Iterable[tuple[str, str]]) -> str:
+    """The serialized form of (clarification, rewrite) pairs."""
+    return " ".join(f"{CLARIFICATION_MARKER} {c} {REWRITE_MARKER} {r}" for c, r in pairs)
+
+
 def serialize_trajectory(trajectory: Trajectory) -> str:
-    return " ".join(
-        f"{CLARIFICATION_MARKER} {s.clarification} {REWRITE_MARKER} {s.rewrite}"
-        for s in trajectory.steps
-    )
+    return _format_pairs((s.clarification, s.rewrite) for s in trajectory.steps)
 
 
 @dataclass
@@ -155,12 +160,10 @@ def parse_trajectory(text: str) -> ParsedTrajectory:
     """
     pairs: list[tuple[str, str]] = []
     warnings = 0
-    markers = list(_MARKER_RE.finditer(text))
     pending: str | None = None
-    for i, m in enumerate(markers):
-        seg_end = markers[i + 1].start() if i + 1 < len(markers) else len(text)
-        payload = text[m.end() : seg_end].strip()
-        if m.group(1) == "Clarification":
+    for m in _SEGMENT_RE.finditer(text):
+        payload = m.group(2).strip()
+        if m.group(1) == CLARIFICATION_MARKER:
             if pending is not None:
                 warnings += 1
             pending = payload
@@ -223,11 +226,16 @@ def read_crdg_records(path: str) -> list[dict]:
     return records
 
 
+def _is_good(record: Mapping) -> bool:
+    """Whether a dataset record is a trajectory later stages may use: not an
+    error record, and not cut short by a provider outage."""
+    return "error" not in record and record.get("stop_reason") != STOP_PROVIDER_FAILURE
+
+
 def load_trajectories(path: str) -> list[Trajectory]:
-    """Trajectories from a dataset file, skipping error records."""
-    return [
-        trajectory_from_record(r) for r in read_crdg_records(path) if "error" not in r
-    ]
+    """Trajectories from a dataset file, skipping error records and
+    ``provider_failure`` trajectories."""
+    return [trajectory_from_record(r) for r in read_crdg_records(path) if _is_good(r)]
 
 
 @dataclass
@@ -307,7 +315,7 @@ def _resume(out_path: str) -> set[str]:
             if record is None:
                 dropped = True
                 break
-            if "error" in record or record.get("stop_reason") == STOP_PROVIDER_FAILURE:
+            if not _is_good(record):
                 dropped = True
                 continue
             done.add(record["sample_id"])

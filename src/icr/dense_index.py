@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -28,6 +27,7 @@ from .errors import (
     ProviderMismatch,
     ProviderUnavailable,
 )
+from .genclient import _Endpoint
 from .ranking import RankedList, id_ranks, top_k
 from .sparse_index import tokenize
 
@@ -74,14 +74,17 @@ class HashEmbeddingProvider:
         return np.stack([self._vector(t) for t in texts])
 
 
-class RemoteEmbeddingProvider:
-    """HTTP provider with retries, exponential backoff, and an in-flight cap.
+class RemoteEmbeddingProvider(_Endpoint):
+    """HTTP provider with the generator client's retry policy (see
+    ``genclient._Endpoint``) and an in-flight cap.
 
     Requests are idempotent, so failed calls are retried up to
     ``max_retries`` times before raising ProviderUnavailable. An optional
     ``role`` hint ("query" or "passage") is forwarded for providers that
     encode the two sides differently.
     """
+
+    _label = "embedding endpoint"
 
     def __init__(
         self,
@@ -96,55 +99,25 @@ class RemoteEmbeddingProvider:
         session: requests.Session | None = None,
         sleep=time.sleep,
     ):
-        self.url = url
+        super().__init__(url, api_key, max_retries, backoff_seconds, timeout, max_in_flight, session, sleep)
         self.dim = dim
         self.name = name
-        self.api_key = api_key
-        self.max_retries = max_retries
-        self.backoff_seconds = backoff_seconds
-        self.timeout = timeout
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self.session = session
-        self._sleep = sleep
-        self._slots = threading.BoundedSemaphore(max_in_flight)
 
     def embed_batch(self, texts: list[str], role: str | None = None) -> np.ndarray:
-        import requests
-
         if not texts:
             return np.zeros((0, self.dim), dtype=np.float64)
         payload: dict = {"texts": list(texts)}
         if role is not None:
             payload["role"] = role
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        last_err: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            try:
-                with self._slots:
-                    resp = self.session.post(self.url, json=payload, headers=headers, timeout=self.timeout)
-                if resp.status_code == 429 or resp.status_code >= 500:
-                    raise requests.HTTPError(f"retryable status {resp.status_code}")
-                resp.raise_for_status()
-                vectors = resp.json()["vectors"]
-            except (requests.RequestException, KeyError, ValueError) as e:
-                last_err = e
-                if attempt < self.max_retries:
-                    self._sleep(self.backoff_seconds * (2**attempt))
-                continue
-            if len(vectors) != len(texts):
-                raise ProviderUnavailable(
-                    f"provider returned {len(vectors)} vectors for {len(texts)} texts"
-                )
-            for vec in vectors:
-                if len(vec) != self.dim:
-                    raise DimensionMismatch(self.dim, len(vec))
-            return np.asarray(vectors, dtype=np.float64)
-        raise ProviderUnavailable(f"embedding endpoint {self.url} failed: {last_err}")
+        vectors = self._post(payload, lambda body: [np.asarray(v, dtype=np.float64) for v in body["vectors"]])
+        if len(vectors) != len(texts):
+            raise ProviderUnavailable(
+                f"provider returned {len(vectors)} vectors for {len(texts)} texts"
+            )
+        for vec in vectors:
+            if vec.shape != (self.dim,):
+                raise DimensionMismatch(self.dim, vec.size)
+        return np.stack(vectors)
 
 
 def embed(provider: EmbeddingProvider, text: str, role: str | None = None) -> np.ndarray:

@@ -25,6 +25,12 @@ from .sparse_index import SparseIndex, search_sparse
 
 F_MODES = ("both", "sparse_only", "dense_only")
 
+#: (uses sparse, uses dense) for each F mode and each inference retriever.
+MODE_RETRIEVERS = {
+    "both": (True, True), "sparse_only": (True, False), "dense_only": (False, True),  # F modes
+    "sparse": (True, False), "dense": (False, True), "both-report": (True, True),  # inference
+}
+
 #: Retrieval depth used for quality scoring; Recall@100 requires it.
 F_DEPTH = 100
 
@@ -138,8 +144,7 @@ def f_score(
     if mode not in F_MODES:
         raise ValueError(f"unknown f mode {mode!r}")
     gold = set(sample.gold_passage_ids)
-    use_sparse = mode in ("both", "sparse_only")
-    use_dense = mode in ("both", "dense_only")
+    use_sparse, use_dense = MODE_RETRIEVERS[mode]
     if use_sparse and sparse is None:
         raise ValueError("mode requires a sparse index")
     if use_dense and (dense is None or provider is None):

@@ -204,38 +204,22 @@ class _RateLimiter:
             self._sleep(delay)
 
 
-class RemoteChatClient:
-    """Chat-completion HTTP client.
-
-    Payload: ``{"model", "messages", "temperature"[, "seed"]}``; response is
-    read from ``choices[0].message.content``. Resamples (attempt > 0) bump
-    temperature by 0.1 per attempt and send the attempt as a seed nonce so
-    the endpoint is not asked the exact same question twice.
+class _Endpoint:
+    """An HTTP JSON endpoint and the retry policy of the remote clients.
 
     Connection errors, 429 and 5xx responses and unreadable bodies are
-    retried with exponential backoff; any other 4xx fails at once. The rate
-    limiter is consulted before every attempt, retries included. In a
+    retried with exponential backoff; any other 4xx fails at once. One
+    in-flight slot is held for the whole call, and the rate limiter (if
+    any) is consulted before every attempt, retries included. In a
     ``run_in_order`` batch that has stopped, no further attempt is made.
     """
 
-    def __init__(
-        self,
-        url: str,
-        api_key: str | None = None,
-        model: str | None = None,
-        temperature: float = 0.7,
-        max_retries: int = 3,
-        backoff_seconds: float = 0.5,
-        timeout: float = 60.0,
-        max_in_flight: int = 4,
-        requests_per_second: float | None = None,
-        session: requests.Session | None = None,
-        sleep=time.sleep,
-    ):
+    _label = "endpoint"  # names the endpoint in ProviderUnavailable
+
+    def __init__(self, url, api_key, max_retries, backoff_seconds, timeout, max_in_flight, session, sleep,
+                 requests_per_second=None):
         self.url = url
         self.api_key = api_key
-        self.model = model
-        self.temperature = temperature
         self.max_retries = max_retries
         self.backoff_seconds = backoff_seconds
         self.timeout = timeout
@@ -249,31 +233,13 @@ class RemoteChatClient:
         self._slots = threading.BoundedSemaphore(max_in_flight)
         self._limiter = _RateLimiter(requests_per_second, sleep=sleep) if requests_per_second else None
 
-    @classmethod
-    def from_env(cls, **kwargs) -> "RemoteChatClient":
-        url = os.environ.get(GEN_URL_ENV)
-        if not url:
-            raise MissingRequired(GEN_URL_ENV)
-        return cls(
-            url,
-            api_key=os.environ.get(GEN_KEY_ENV),
-            model=os.environ.get(GEN_MODEL_ENV),
-            **kwargs,
-        )
-
-    def generate(self, kind: str, fingerprint: str, prompt: str, attempt: int = 0) -> str:
+    def _post(self, payload: dict, read: Callable):
+        """POST ``payload`` and return ``read(body)``; ``read`` raising
+        KeyError, IndexError, ValueError or TypeError marks the body
+        unreadable, which is retried."""
         import requests
 
-        payload: dict = {
-            "model": self.model,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": round(self.temperature + 0.1 * attempt, 3),
-        }
-        if attempt > 0:
-            payload["seed"] = attempt
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         with self._slots:
             last_err: object = None
             for i in range(self.max_retries + 1):
@@ -292,12 +258,66 @@ class RemoteChatClient:
                     last_err = f"retryable status {resp.status_code}"
                     continue
                 if resp.status_code >= 400:
-                    raise ProviderUnavailable(f"generator endpoint {self.url} failed: status {resp.status_code}")
+                    raise ProviderUnavailable(f"{self._label} {self.url} failed: status {resp.status_code}")
                 try:
-                    return str(resp.json()["choices"][0]["message"]["content"])
+                    return read(resp.json())
                 except (KeyError, IndexError, ValueError, TypeError) as e:
                     last_err = e
-        raise ProviderUnavailable(f"generator endpoint {self.url} failed: {last_err}")
+        raise ProviderUnavailable(f"{self._label} {self.url} failed: {last_err}")
+
+
+class RemoteChatClient(_Endpoint):
+    """Chat-completion HTTP client.
+
+    Payload: ``{"model", "messages", "temperature"[, "seed"]}``; response is
+    read from ``choices[0].message.content``. Resamples (attempt > 0) bump
+    temperature by 0.1 per attempt and send the attempt as a seed nonce so
+    the endpoint is not asked the exact same question twice. Retries follow
+    the shared endpoint policy (see ``_Endpoint``).
+    """
+
+    _label = "generator endpoint"
+
+    def __init__(
+        self,
+        url: str,
+        api_key: str | None = None,
+        model: str | None = None,
+        temperature: float = 0.7,
+        max_retries: int = 3,
+        backoff_seconds: float = 0.5,
+        timeout: float = 60.0,
+        max_in_flight: int = 4,
+        requests_per_second: float | None = None,
+        session: requests.Session | None = None,
+        sleep=time.sleep,
+    ):
+        super().__init__(url, api_key, max_retries, backoff_seconds, timeout, max_in_flight, session, sleep,
+                         requests_per_second)
+        self.model = model
+        self.temperature = temperature
+
+    @classmethod
+    def from_env(cls, **kwargs) -> "RemoteChatClient":
+        url = os.environ.get(GEN_URL_ENV)
+        if not url:
+            raise MissingRequired(GEN_URL_ENV)
+        return cls(
+            url,
+            api_key=os.environ.get(GEN_KEY_ENV),
+            model=os.environ.get(GEN_MODEL_ENV),
+            **kwargs,
+        )
+
+    def generate(self, kind: str, fingerprint: str, prompt: str, attempt: int = 0) -> str:
+        payload: dict = {
+            "model": self.model,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": round(self.temperature + 0.1 * attempt, 3),
+        }
+        if attempt > 0:
+            payload["seed"] = attempt
+        return self._post(payload, lambda body: str(body["choices"][0]["message"]["content"]))
 
 
 class _Stopped(BaseException):

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .corpus import CQRSample
-from .crdg import parse_trajectory
+from .crdg import _format_pairs, parse_trajectory
 from .dense_index import DenseIndex, EmbeddingProvider, search_dense
 from .errors import DataError
+from .evaluation import MODE_RETRIEVERS
 from .fusion import FusionConfig, fuse
 from .genclient import (
     CLARIFY_KIND,
@@ -74,7 +75,7 @@ def run_inference(sample: CQRSample, client, config: InferenceConfig) -> str:
     """Produce the raw serialized trajectory text for one sample."""
     if not config.step_wise:
         return generate_trajectory_text(client, sample.history, sample.query)
-    segments: list[str] = []
+    pairs: list[tuple[str, str]] = []
     current = sample.query
     for _ in range(config.max_iters):
         if hasattr(client, "has_entry") and not client.has_entry(
@@ -87,11 +88,11 @@ def run_inference(sample: CQRSample, client, config: InferenceConfig) -> str:
         ):
             break
         rewrite = generate_rewrite(client, sample.history, current, clarification)
-        segments.append(f"[Clarification] {clarification} [Rewrite] {rewrite}")
+        pairs.append((clarification, rewrite))
         if rewrite == current:
             break
         current = rewrite
-    return " ".join(segments)
+    return _format_pairs(pairs)
 
 
 def extract_queries(trajectory_text: str) -> list[str]:
@@ -132,8 +133,7 @@ def _searchers(
     dense: DenseIndex | None,
     provider: EmbeddingProvider | None,
 ) -> dict[str, Searcher]:
-    want_sparse = config.retriever in ("sparse", "both-report")
-    want_dense = config.retriever in ("dense", "both-report")
+    want_sparse, want_dense = MODE_RETRIEVERS[config.retriever]
     if want_sparse and sparse is None:
         raise DataError("retriever requires a sparse index")
     if want_dense and (dense is None or provider is None):

@@ -15,11 +15,11 @@ any trainer can project them onto its own vocabulary.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .corpus import CQRSample
+from .crdg import _SEGMENT_RE, CLARIFICATION_MARKER, REWRITE_MARKER, _is_good
 from .errors import DataError, MalformedTrajectory
 from .genclient import render_conversation
 
@@ -28,8 +28,6 @@ SPAN_REWRITE = "rewrite"
 SPAN_OTHER = "other"
 
 EPOCHS = (1, 2, 3)
-
-_MARKER_RE = re.compile(r"\[(Clarification|Rewrite)\]")
 
 
 @dataclass(frozen=True)
@@ -50,26 +48,23 @@ def label_spans(serialized: str) -> list[Span]:
     """
     if serialized == "":
         return []
-    markers = list(_MARKER_RE.finditer(serialized))
-    if not markers:
+    segments = list(_SEGMENT_RE.finditer(serialized))
+    if not segments:
         raise MalformedTrajectory("no segment markers found")
-    if markers[0].start() != 0:
+    if segments[0].start() != 0:
         raise MalformedTrajectory("text before the first segment marker")
-    expected = "Clarification"
-    for m in markers:
-        if m.group(1) != expected:
-            raise MalformedTrajectory(f"expected a [{expected}] segment at offset {m.start()}")
-        expected = "Rewrite" if expected == "Clarification" else "Clarification"
-    if markers[-1].group(1) != "Rewrite":
-        raise MalformedTrajectory("trajectory ends with a dangling clarification")
     spans: list[Span] = []
-    for i, m in enumerate(markers):
-        seg_end = markers[i + 1].start() if i + 1 < len(markers) else len(serialized)
-        content_end = m.start() + len(serialized[m.start() : seg_end].rstrip())
-        span_type = SPAN_CLARIFICATION if m.group(1) == "Clarification" else SPAN_REWRITE
+    for i, m in enumerate(segments):
+        expected = (CLARIFICATION_MARKER, REWRITE_MARKER)[i % 2]
+        if m.group(1) != expected:
+            raise MalformedTrajectory(f"expected a {expected} segment at offset {m.start()}")
+        content_end = m.start() + len(m.group().rstrip())
+        span_type = SPAN_CLARIFICATION if expected == CLARIFICATION_MARKER else SPAN_REWRITE
         spans.append(Span(m.start(), content_end, span_type))
-        if content_end < seg_end:
-            spans.append(Span(content_end, seg_end, SPAN_OTHER))
+        if content_end < m.end():
+            spans.append(Span(content_end, m.end(), SPAN_OTHER))
+    if segments[-1].group(1) != REWRITE_MARKER:
+        raise MalformedTrajectory("trajectory ends with a dangling clarification")
     return spans
 
 
@@ -131,7 +126,8 @@ def emit_sft_dataset(
     samples: Sequence[CQRSample],
     out_path: str,
 ) -> SftStats:
-    """One record per non-empty trajectory; empty ones are counted and skipped.
+    """One record per non-empty trajectory; empty ones are counted and skipped,
+    and so are error records and ``provider_failure`` trajectories (as errors).
 
     Training with only the epoch-3 masks reproduces plain single-schedule
     fine-tuning, so no separate emitter exists for that ablation.
@@ -140,7 +136,7 @@ def emit_sft_dataset(
     stats = SftStats()
     with open(out_path, "w", encoding="utf-8") as fh:
         for record in crdg_records:
-            if "error" in record:
+            if not _is_good(record):
                 stats.skipped_errors += 1
                 continue
             serialized = record["serialized"]

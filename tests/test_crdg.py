@@ -9,6 +9,8 @@ from icr import crdg
 from icr.corpus import CQRSample
 from icr.crdg import (
     CrdgConfig,
+    Trajectory,
+    TrajectoryStep,
     build_crdg_dataset,
     generate_trajectory,
     load_trajectories,
@@ -19,6 +21,7 @@ from icr.crdg import (
     trajectory_to_record,
 )
 from icr.errors import ProviderUnavailable
+from icr.evaluation import MetricSet, QualityScore
 from icr.genclient import ScriptedMock, clarify_fingerprint, rewrite_fingerprint
 
 from .conftest import improve_then_plateau, improving_script, plateau_script, tier_query
@@ -267,6 +270,16 @@ def test_build_dataset_records_and_errors(
     assert "error" in records[2]
     assert records[1]["empty"] is True
     assert len(load_trajectories(str(out))) == 2
+
+
+def test_load_trajectories_skips_provider_failures(tmp_path):
+    f = QualityScore(1.0, MetricSet(), MetricSet(), "both")
+    kept = Trajectory("s1", "q", f, [TrajectoryStep("c", "r", f)], stop_reason="early_stop")
+    cut = Trajectory("s2", "q", f, [TrajectoryStep("c", "r", f)], stop_reason="provider_failure")
+    records = [trajectory_to_record(kept), trajectory_to_record(cut), {"sample_id": "s3", "error": "gold missing"}]
+    out = tmp_path / "dcr.jsonl"
+    out.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert [t.sample_id for t in load_trajectories(str(out))] == ["s1"]
 
 
 def test_build_dataset_resumes(tmp_path, three_samples, tier_sparse, tier_dense, tier_provider):

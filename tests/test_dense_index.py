@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import threading
+import time
 import zlib
 
 import numpy as np
@@ -17,6 +19,7 @@ from icr.dense_index import (
     search_dense,
 )
 from icr.errors import DimensionMismatch, EmptyCollection, ProviderMismatch, ProviderUnavailable
+from icr.genclient import run_in_order
 
 from .oracles import oracle_dense_topk
 
@@ -178,6 +181,61 @@ def test_remote_provider_exhausts_budget():
     with pytest.raises(ProviderUnavailable):
         provider.embed_batch(["hello"])
     assert session.calls == 4
+
+
+def test_remote_provider_fails_at_once_on_client_error():
+    sleeps = []
+    session = _FakeSession([_FakeResponse(status_code=404)] * 4)
+    provider = RemoteEmbeddingProvider("http://x/embed", dim=4, session=session, sleep=sleeps.append)
+    with pytest.raises(ProviderUnavailable, match="404"):
+        provider.embed_batch(["hello"])
+    assert session.calls == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    "body",
+    [[[0.5] * 4], {"vectors": [["a", "b", "c", "d"]]}],
+    ids=["list-body", "non-numeric-vector"],
+)
+def test_remote_provider_unreadable_body_is_retried_then_unavailable(body):
+    session = _FakeSession([_FakeResponse(payload=body)] * 4)
+    provider = RemoteEmbeddingProvider("http://x/embed", dim=4, session=session, sleep=lambda s: None)
+    with pytest.raises(ProviderUnavailable, match="embedding endpoint"):
+        provider.embed_batch(["hello"])
+    assert session.calls == 4
+
+
+def test_remote_provider_stops_with_its_batch():
+    # t0 is answered at once; t1 and t2 hang until released, then get a 503
+    release = threading.Event()
+    posts = []
+
+    class HangingSession:
+        def post(self, url, json=None, headers=None, timeout=None):
+            text = json["texts"][0]
+            posts.append(text)
+            if text == "t0":
+                return _FakeResponse(payload={"vectors": [[0.5] * 4]})
+            release.wait(5)
+            return _FakeResponse(status_code=503)
+
+    class Client:
+        max_in_flight = 2
+
+    provider = RemoteEmbeddingProvider("http://x/embed", dim=4, session=HangingSession(), sleep=lambda s: None)
+    results = run_in_order(Client(), lambda c, t: provider.embed_batch([t]), ["t0", "t1", "t2", "t3"])
+    assert next(results).shape == (1, 4)
+    deadline = time.monotonic() + 5
+    while len(posts) < 3 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert sorted(posts) == ["t0", "t1", "t2"]
+    results.close()
+    release.set()
+    while any(t.name.startswith("icr-gen") for t in threading.enumerate()) and time.monotonic() < deadline:
+        time.sleep(0.001)
+    # the two hanging requests were not retried, and t3 never started
+    assert sorted(posts) == ["t0", "t1", "t2"]
 
 
 def test_build_outage_reports_progress():

@@ -142,3 +142,16 @@ def test_emit_skips_error_records(tmp_path):
     stats = emit_sft_dataset(records, samples, str(out))
     assert stats.written == 0
     assert stats.skipped_errors == 1
+
+
+def test_emit_skips_provider_failures(tmp_path):
+    # a trajectory cut short by an outage is not training data, even when it has steps
+    samples = [CQRSample("s1", [], "q", {"p"}), CQRSample("s2", [], "q", {"p"})]
+    records = [
+        {"sample_id": "s1", "serialized": "[Clarification] a [Rewrite] b", "stop_reason": "provider_failure"},
+        {"sample_id": "s2", "serialized": "[Clarification] c [Rewrite] d", "stop_reason": "early_stop"},
+    ]
+    out = tmp_path / "sft.jsonl"
+    stats = emit_sft_dataset(records, samples, str(out))
+    assert (stats.written, stats.skipped_empty, stats.skipped_errors) == (1, 0, 1)
+    assert [json.loads(l)["sample_id"] for l in out.read_text().splitlines()] == ["s2"]
