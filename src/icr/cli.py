@@ -57,13 +57,13 @@ def _require_path(value: str | None, name: str) -> str:
 
 
 def _make_client(args, config: Config):
-    if getattr(args, "mock_script", None):
+    if args.mock_script:
         return ScriptedMock.from_jsonl(args.mock_script)
     return RemoteChatClient.from_env(temperature=config.gen_temperature)
 
 
 def _make_provider(args, config: Config):
-    if getattr(args, "embed_url", None):
+    if args.embed_url:
         return RemoteEmbeddingProvider(args.embed_url, dim=config.dense_dim)
     return HashEmbeddingProvider(dim=config.dense_dim)
 
@@ -88,9 +88,26 @@ def _load_indexes(args, mode: str):
 
 
 def _dataset(args, config: Config):
-    path = getattr(args, "dataset", None) or config.train or config.test
-    path = _require_path(path, "--dataset")
+    path = _require_path(args.dataset or config.train or config.test, "--dataset")
     return path, load_cqr_dataset(path)
+
+
+def _write_manifest(command: str, config: Config, seed: int | None, inputs, outputs, path=None) -> None:
+    """Write a finished command's manifest, by default beside its first output."""
+    manifest = RunManifest(command, config.raw, seed=seed)
+    for p in inputs:
+        manifest.add_input(p)
+    for p in outputs:
+        manifest.add_output(p)
+    manifest.write(path)
+
+
+def _write_report(report: dict, path: str) -> None:
+    """Write a JSON report to ``path`` and print it."""
+    text = json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    print(text)
 
 
 def cmd_build_index(args) -> int:
@@ -99,10 +116,7 @@ def cmd_build_index(args) -> int:
     fmt = args.format or config.collection_format
     index = build_sparse_index(load_collection(collection_path, fmt), config.bm25)
     save_sparse_index(index, args.out)
-    manifest = RunManifest("build-index", config.raw, seed=None)
-    manifest.add_input(collection_path)
-    manifest.add_output(args.out)
-    manifest.write()
+    _write_manifest("build-index", config, None, [collection_path], [args.out])
     print(f"indexed {index.doc_count} passages -> {args.out}")
     return EXIT_OK
 
@@ -114,10 +128,8 @@ def cmd_embed_index(args) -> int:
     provider = _make_provider(args, config)
     index = build_dense_index(load_collection(collection_path, fmt), provider)
     save_dense_index(index, args.out)
-    manifest = RunManifest("embed-index", config.raw, seed=None)
-    manifest.add_input(collection_path)
-    manifest.add_output(args.out)
-    manifest.write(args.out.rstrip("/") + ".manifest.json")
+    manifest_path = args.out.rstrip("/") + ".manifest.json"
+    _write_manifest("embed-index", config, None, [collection_path], [args.out], manifest_path)
     print(f"embedded {index.doc_count} passages (dim {index.dim}) -> {args.out}")
     return EXIT_OK
 
@@ -130,11 +142,8 @@ def cmd_crdg(args) -> int:
     stats = crdg_mod.build_crdg_dataset(
         samples, client, sparse, dense, provider, config.crdg, args.out, seed=args.seed
     )
-    manifest = RunManifest("crdg", config.raw, seed=args.seed)
-    for p in (dataset_path, args.sparse_index, args.dense_index, args.mock_script):
-        manifest.add_input(p)
-    manifest.add_output(args.out)
-    manifest.write()
+    inputs = [dataset_path, args.sparse_index, args.dense_index, args.mock_script]
+    _write_manifest("crdg", config, args.seed, inputs, [args.out])
     print(f"trajectories written={stats.written} skipped={stats.skipped} errors={stats.errors}")
     return EXIT_OK
 
@@ -149,11 +158,8 @@ def cmd_prefdata(args) -> int:
         trajectories, samples, client, sparse, dense, provider, config.crdg,
         args.out, seed=args.seed, multi_ot=args.multi_ot,
     )
-    manifest = RunManifest("prefdata", config.raw, seed=args.seed)
-    for p in (args.crdg, dataset_path, args.sparse_index, args.dense_index, args.mock_script):
-        manifest.add_input(p)
-    manifest.add_output(args.out)
-    manifest.write()
+    inputs = [args.crdg, dataset_path, args.sparse_index, args.dense_index, args.mock_script]
+    _write_manifest("prefdata", config, args.seed, inputs, [args.out])
     print(
         f"pairs ot={stats.ot} ut={stats.ut} id={stats.id} "
         f"not_constructible={stats.not_constructible} errors={stats.errors}"
@@ -166,11 +172,7 @@ def cmd_sftdata(args) -> int:
     dataset_path, samples = _dataset(args, config)
     records = crdg_mod.read_crdg_records(args.crdg)
     stats = sftdata_mod.emit_sft_dataset(records, samples, args.out)
-    manifest = RunManifest("sftdata", config.raw, seed=args.seed)
-    manifest.add_input(args.crdg)
-    manifest.add_input(dataset_path)
-    manifest.add_output(args.out)
-    manifest.write()
+    _write_manifest("sftdata", config, args.seed, [args.crdg, dataset_path], [args.out])
     print(
         f"sft records={stats.written} skipped_empty={stats.skipped_empty} "
         f"skipped_errors={stats.skipped_errors}"
@@ -188,20 +190,18 @@ def cmd_infer(args) -> int:
     sparse, dense, provider = _load_indexes(args, inference.retriever)
     client = _make_client(args, config)
     results = run_batch(samples, client, inference, sparse, dense, provider)
-    manifest = RunManifest("infer", config.raw, seed=args.seed)
-    for p in (dataset_path, args.sparse_index, args.dense_index, args.mock_script):
-        manifest.add_input(p)
+    outputs = []
     single = len(results) == 1
     for name, batch in results.items():
         out = args.out if single else f"{args.out}.{name}"
         emit_run(batch, out)
-        manifest.add_output(out)
+        outputs.append(out)
         if args.per_query_dir:
             directory = args.per_query_dir if single else f"{args.per_query_dir}.{name}"
-            for p in emit_per_query_runs(batch, directory):
-                manifest.add_output(p)
+            outputs += emit_per_query_runs(batch, directory)
         print(f"{name}: wrote fused run for {len(batch)} samples -> {out}")
-    manifest.write(args.out + ".manifest.json")
+    inputs = [dataset_path, args.sparse_index, args.dense_index, args.mock_script]
+    _write_manifest("infer", config, args.seed, inputs, outputs, args.out + ".manifest.json")
     return EXIT_OK
 
 
@@ -219,11 +219,7 @@ def cmd_fuse(args) -> int:
         lists = [run.get(qid, RankedList(qid, [])) for run in runs]
         fused.append(fuse(lists, fusion, tag=qid))
     write_run(fused, args.out)
-    manifest = RunManifest("fuse", config.raw, seed=None)
-    for p in args.runs:
-        manifest.add_input(p)
-    manifest.add_output(args.out)
-    manifest.write()
+    _write_manifest("fuse", config, None, args.runs, [args.out])
     print(f"fused {len(args.runs)} runs over {len(sample_ids)} queries -> {args.out}")
     return EXIT_OK
 
@@ -233,15 +229,8 @@ def cmd_evaluate(args) -> int:
     run = read_run(args.run)
     qrels = load_qrels(args.qrels)
     report = evaluate_run(run, qrels)
-    text = json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    manifest = RunManifest("evaluate", config.raw, seed=None)
-    manifest.add_input(args.run)
-    manifest.add_input(args.qrels)
-    manifest.add_output(args.out)
-    manifest.write()
-    print(text)
+    _write_report(report, args.out)
+    _write_manifest("evaluate", config, None, [args.run, args.qrels], [args.out])
     return EXIT_OK
 
 
@@ -257,14 +246,8 @@ def cmd_analyze(args) -> int:
         "gsr": gsr(paths),
         "delta_f": {str(n): means for n, means in delta_f_profile(paths, lengths).items()},
     }
-    text = json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    manifest = RunManifest("analyze", config.raw, seed=None)
-    manifest.add_input(args.crdg)
-    manifest.add_output(args.out)
-    manifest.write()
-    print(text)
+    _write_report(report, args.out)
+    _write_manifest("analyze", config, None, [args.crdg], [args.out])
     return EXIT_OK
 
 
@@ -275,14 +258,8 @@ def cmd_latency(args) -> int:
     inference.step_wise = args.step_wise
     client = _make_client(args, config)
     report = measure_latency(samples, client, inference)
-    text = json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    manifest = RunManifest("latency", config.raw, seed=None)
-    manifest.add_input(dataset_path)
-    manifest.add_output(args.out)
-    manifest.write()
-    print(text)
+    _write_report(report, args.out)
+    _write_manifest("latency", config, None, [dataset_path], [args.out])
     return EXIT_OK
 
 

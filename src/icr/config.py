@@ -2,10 +2,10 @@
 
 Format: one ``key = value`` per line, ``#`` comments, blank lines ignored.
 Unknown keys are rejected so a misspelled hyperparameter cannot silently
-fall back to a default. An absent file (or empty one) yields all defaults:
-early_stop 3, max_iters 10, fusion k 60, depth 100, and the topiocqa BM25
-profile (k1 0.9, b 0.4); ``bm25.profile = qrecc`` switches to k1 0.82,
-b 0.68, and explicit ``bm25.k1`` / ``bm25.b`` override either profile.
+fall back to a default. A key sets the field of the same name in its
+section's dataclass, and an absent key (or file) keeps that dataclass's
+default. ``bm25.profile`` picks a BM25 parameter profile, and explicit
+``bm25.k1`` / ``bm25.b`` override it.
 """
 
 from __future__ import annotations
@@ -109,41 +109,26 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     return values
 
 
+# Sections built from their own keys: ``crdg.early_stop`` sets
+# ``CrdgConfig.early_stop``, and an absent key keeps the dataclass default.
+_SECTIONS = {"crdg": CrdgConfig, "fusion": FusionConfig, "inference": InferenceConfig}
+
+
 def resolve_config(values: dict) -> Config:
-    profile = BM25_PROFILES[values.get("bm25.profile", "topiocqa")]
-    k1 = values.get("bm25.k1", profile.k1)
-    b = values.get("bm25.b", profile.b)
+    profile = BM25_PROFILES[values["bm25.profile"]] if "bm25.profile" in values else Bm25Params()
     try:
-        bm25 = Bm25Params(k1=k1, b=b)
+        bm25 = Bm25Params(k1=values.get("bm25.k1", profile.k1), b=values.get("bm25.b", profile.b))
     except ValueError as e:
         raise TypeMismatch("bm25.b", str(e)) from None
-    cfg = Config(
-        collection=values.get("dataset.collection"),
-        collection_format=values.get("dataset.collection_format"),
-        train=values.get("dataset.train"),
-        test=values.get("dataset.test"),
-        qrels=values.get("dataset.qrels"),
-        bm25=bm25,
-        crdg=CrdgConfig(
-            early_stop=values.get("crdg.early_stop", 3),
-            max_iters=values.get("crdg.max_iters", 10),
-            resample_budget=values.get("crdg.resample_budget", 3),
-            f_mode=values.get("crdg.f_mode", "both"),
-        ),
-        fusion=FusionConfig(
-            k=values.get("fusion.k", 60.0),
-            mode=values.get("fusion.mode", "prrf"),
-            depth=values.get("fusion.depth", 100),
-        ),
-        inference=InferenceConfig(
-            max_iters=values.get("inference.max_iters", 10),
-            retrieval_k=values.get("inference.retrieval_k", 100),
-            retriever=values.get("inference.retriever", "sparse"),
-        ),
-        dense_dim=values.get("dense.dim", 256),
-        gen_temperature=values.get("gen.temperature", 0.7),
-        raw=dict(values),
-    )
+    sections: dict = {name: {} for name in _SECTIONS}
+    fields: dict = {"bm25": bm25, "raw": dict(values)}
+    for key, value in values.items():
+        section, name = key.split(".", 1)
+        if section in sections:
+            sections[section][name] = value
+        elif section != "bm25":  # dataset.train -> train, dense.dim -> dense_dim
+            fields[name if section == "dataset" else f"{section}_{name}"] = value
+    cfg = Config(**fields, **{name: cls(**sections[name]) for name, cls in _SECTIONS.items()})
     cfg.inference.fusion = cfg.fusion
     return cfg
 

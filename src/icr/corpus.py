@@ -98,6 +98,44 @@ def _infer_format(path: str) -> str:
     return "tsv"
 
 
+def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
+    """Stream ``(line_no, record)`` from a JSONL file, skipping blank lines.
+
+    Raises:
+        MalformedRecord: a line is not valid JSON (which includes invalid
+            UTF-8, as in a line cut inside a character), or not a JSON object.
+    """
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line.decode("utf-8"))
+            except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
+                raise MalformedRecord(path, line_no, f"invalid JSON: {e}") from e
+            if not isinstance(obj, dict):
+                raise MalformedRecord(path, line_no, "expected a JSON object")
+            yield line_no, obj
+
+
+def _collection_rows(path: str, fmt: str) -> Iterator[tuple[int, str, str]]:
+    """``(line_no, id, text)`` per passage line of a collection file."""
+    if fmt == "jsonl":
+        for line_no, obj in read_jsonl(path):
+            if "id" not in obj or "text" not in obj:
+                raise MalformedRecord(path, line_no, "record needs id and text fields")
+            yield line_no, str(obj["id"]), str(obj["text"])
+        return
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if "\t" not in line:
+                raise MalformedRecord(path, line_no, "expected id<TAB>text")
+            yield line_no, *line.split("\t", 1)
+
+
 def load_collection(path: str, format: str | None = None) -> Iterator[Passage]:
     """Stream passages from a TSV or JSONL collection file.
 
@@ -112,29 +150,13 @@ def load_collection(path: str, format: str | None = None) -> Iterator[Passage]:
     if fmt not in ("tsv", "jsonl"):
         raise ValueError(f"unknown collection format {fmt!r}")
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if fmt == "tsv":
-                if "\t" not in line:
-                    raise MalformedRecord(path, line_no, "expected id<TAB>text")
-                pid, text = line.split("\t", 1)
-            else:
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise MalformedRecord(path, line_no, f"invalid JSON: {e}") from e
-                if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                    raise MalformedRecord(path, line_no, "record needs id and text fields")
-                pid, text = str(obj["id"]), str(obj["text"])
-            if not pid:
-                raise MalformedRecord(path, line_no, "empty passage id")
-            if pid in seen:
-                raise DuplicateId(pid)
-            seen.add(pid)
-            yield Passage(pid, text)
+    for line_no, pid, text in _collection_rows(path, fmt):
+        if not pid:
+            raise MalformedRecord(path, line_no, "empty passage id")
+        if pid in seen:
+            raise DuplicateId(pid)
+        seen.add(pid)
+        yield Passage(pid, text)
 
 
 def write_collection(passages: Iterable[Passage], path: str, format: str | None = None) -> None:
@@ -163,31 +185,27 @@ def load_cqr_dataset(path: str) -> list[CQRSample]:
         MissingField: a required field is absent.
     """
     samples: list[CQRSample] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise MalformedRecord(path, line_no, f"invalid JSON: {e}") from e
-            sample_id = str(_require(obj, "sample_id", path, line_no))
-            raw_history = _require(obj, "history", path, line_no)
-            query = str(_require(obj, "query", path, line_no))
-            gold = _require(obj, "gold_passage_ids", path, line_no)
-            history: list[Turn] = []
-            for i, t in enumerate(raw_history):
-                if "query" not in t:
-                    raise MissingField(f"history[{i}].query", path, line_no)
-                if "answer" not in t:
-                    raise MissingField(f"history[{i}].answer", path, line_no)
-                if not t["query"]:
-                    raise MalformedRecord(path, line_no, f"history[{i}].query is empty")
-                history.append(Turn(str(t["query"]), str(t["answer"])))
-            if not query:
-                raise MalformedRecord(path, line_no, "query is empty")
-            samples.append(CQRSample(sample_id, history, query, {str(g) for g in gold}))
+    for line_no, obj in read_jsonl(path):
+        sample_id = str(_require(obj, "sample_id", path, line_no))
+        raw_history = _require(obj, "history", path, line_no)
+        query = str(_require(obj, "query", path, line_no))
+        gold = _require(obj, "gold_passage_ids", path, line_no)
+        if not isinstance(raw_history, list):
+            raise MalformedRecord(path, line_no, "history is not a list")
+        history: list[Turn] = []
+        for i, t in enumerate(raw_history):
+            if not isinstance(t, dict):
+                raise MalformedRecord(path, line_no, f"history[{i}] is not an object")
+            if "query" not in t:
+                raise MissingField(f"history[{i}].query", path, line_no)
+            if "answer" not in t:
+                raise MissingField(f"history[{i}].answer", path, line_no)
+            if not t["query"]:
+                raise MalformedRecord(path, line_no, f"history[{i}].query is empty")
+            history.append(Turn(str(t["query"]), str(t["answer"])))
+        if not query:
+            raise MalformedRecord(path, line_no, "query is empty")
+        samples.append(CQRSample(sample_id, history, query, {str(g) for g in gold}))
     return samples
 
 

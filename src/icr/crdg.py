@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import CQRSample
+from .corpus import CQRSample, _require, read_jsonl
 from .dense_index import DenseIndex, EmbeddingProvider
 from .errors import DataError, EmptyResponse, ProviderError, ProviderUnavailable
 from .evaluation import QualityScore, f_score, quality_from_dict
@@ -36,6 +36,9 @@ REWRITE_MARKER = "[Rewrite]"
 STOP_EARLY = "early_stop"
 STOP_MAX_ITERATIONS = "max_iterations"
 STOP_PROVIDER_FAILURE = "provider_failure"
+
+# What sftdata, prefdata and analyze read from a trajectory record.
+_RECORD_FIELDS = ("sample_id", "original_query", "f0", "steps", "serialized", "stop_reason")
 
 _MARKERS = "|".join(map(re.escape, (CLARIFICATION_MARKER, REWRITE_MARKER)))
 # One match per segment: group 1 is its marker, group 2 its payload, and the
@@ -217,12 +220,14 @@ def trajectory_from_record(record: dict) -> Trajectory:
 
 
 def read_crdg_records(path: str) -> list[dict]:
+    """Every record of a dataset file; a good record must carry every
+    trajectory field that later stages read."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+    for line_no, record in read_jsonl(path):
+        if _is_good(record):
+            for name in _RECORD_FIELDS:
+                _require(record, name, path, line_no)
+        records.append(record)
     return records
 
 

@@ -14,7 +14,7 @@ here are pure over immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import CQRSample, Qrels
@@ -46,12 +46,7 @@ class MetricSet:
         return self.mrr + self.ndcg3 + self.recall10 + self.recall100
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "mrr": self.mrr,
-            "ndcg3": self.ndcg3,
-            "recall10": self.recall10,
-            "recall100": self.recall100,
-        }
+        return asdict(self)
 
 
 ZERO_METRICS = MetricSet()
@@ -65,12 +60,7 @@ class QualityScore:
     mode: str
 
     def as_dict(self) -> dict:
-        return {
-            "f": self.f,
-            "sparse": self.sparse.as_dict(),
-            "dense": self.dense.as_dict(),
-            "mode": self.mode,
-        }
+        return asdict(self)
 
 
 def quality_from_dict(obj: Mapping) -> QualityScore:
@@ -246,8 +236,8 @@ def evaluate_run(run: Mapping[str, RankedList], qrels: Qrels) -> dict:
         per_sample[qid] = {**ms.as_dict(), "degenerate": not relevant}
     n = len(per_sample)
     aggregate = {
-        key: (sum(s[key] for s in per_sample.values()) / n if n else 0.0)
-        for key in ("mrr", "ndcg3", "recall10", "recall100")
+        f.name: (sum(s[f.name] for s in per_sample.values()) / n if n else 0.0)
+        for f in fields(MetricSet)
     }
     return {
         "num_samples": n,

@@ -32,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .corpus import Turn
+from .corpus import Turn, _require, read_jsonl
 from .errors import EmptyResponse, MissingRequired, MissingScriptEntry, ProviderUnavailable
 
 if TYPE_CHECKING:
@@ -146,9 +146,6 @@ class ScriptedMock:
         self.script[(kind, fingerprint, attempt)] = response
         return self
 
-    def has_entry(self, kind: str, fingerprint: str, attempt: int = 0) -> bool:
-        return (kind, fingerprint, attempt) in self.script
-
     def generate(self, kind: str, fingerprint: str, prompt: str, attempt: int = 0) -> str:
         self.calls += 1
         try:
@@ -159,18 +156,9 @@ class ScriptedMock:
     @classmethod
     def from_jsonl(cls, path: str) -> "ScriptedMock":
         mock = cls()
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                mock.add(
-                    obj["kind"],
-                    obj["fingerprint"],
-                    obj["response"],
-                    int(obj.get("attempt", 0)),
-                )
+        for line_no, obj in read_jsonl(path):
+            entry = [_require(obj, name, path, line_no) for name in ("kind", "fingerprint", "response")]
+            mock.add(*entry, int(obj.get("attempt", 0)))
         return mock
 
     def to_jsonl(self, path: str) -> None:

@@ -3,6 +3,8 @@
 The generator is asked once per sample for the full serialized trajectory
 (the trained model emits the whole chain); a step-wise mode drives the
 clarify/rewrite prompts round by round for tests and untrained endpoints.
+It ends at ``max_iters`` rounds, on a rewrite that echoes its input, or
+when a scripted generator has no next step.
 Each parsed rewrite is retrieved independently and the per-iteration runs
 are fused; when parsing yields no rewrites the original query is used as
 a fallback so every sample stays scoreable. Per-query runs are kept on
@@ -20,19 +22,10 @@ from typing import Callable, Sequence
 from .corpus import CQRSample
 from .crdg import _format_pairs, parse_trajectory
 from .dense_index import DenseIndex, EmbeddingProvider, search_dense
-from .errors import DataError
+from .errors import DataError, MissingScriptEntry
 from .evaluation import MODE_RETRIEVERS
 from .fusion import FusionConfig, fuse
-from .genclient import (
-    CLARIFY_KIND,
-    REWRITE_KIND,
-    clarify_fingerprint,
-    generate_clarification,
-    generate_rewrite,
-    generate_trajectory_text,
-    rewrite_fingerprint,
-    run_in_order,
-)
+from .genclient import generate_clarification, generate_rewrite, generate_trajectory_text, run_in_order
 from .ranking import RankedList, write_run
 from .sparse_index import SparseIndex, search_sparse
 
@@ -78,16 +71,11 @@ def run_inference(sample: CQRSample, client, config: InferenceConfig) -> str:
     pairs: list[tuple[str, str]] = []
     current = sample.query
     for _ in range(config.max_iters):
-        if hasattr(client, "has_entry") and not client.has_entry(
-            CLARIFY_KIND, clarify_fingerprint(current)
-        ):
+        try:
+            clarification = generate_clarification(client, current)
+            rewrite = generate_rewrite(client, sample.history, current, clarification)
+        except MissingScriptEntry:  # a scripted generator has no next step
             break
-        clarification = generate_clarification(client, current)
-        if hasattr(client, "has_entry") and not client.has_entry(
-            REWRITE_KIND, rewrite_fingerprint(current, clarification)
-        ):
-            break
-        rewrite = generate_rewrite(client, sample.history, current, clarification)
         pairs.append((clarification, rewrite))
         if rewrite == current:
             break

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple, Sequence
 
 from .corpus import CQRSample
@@ -48,16 +48,7 @@ class PreferencePair:
     f_rejected_last: float
 
     def as_dict(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "context": self.context,
-            "chosen": self.chosen,
-            "rejected": self.rejected,
-            "dimension": self.dimension,
-            "meta": self.meta,
-            "f_chosen_last": self.f_chosen_last,
-            "f_rejected_last": self.f_rejected_last,
-        }
+        return asdict(self)
 
 
 def make_overthinking(
@@ -128,13 +119,7 @@ def extend_redundantly(
         appended.append(step)
         current = step.rewrite
         bound = step.f_score.f
-    return Trajectory(
-        sample_id=trajectory.sample_id,
-        original_query=trajectory.original_query,
-        f0=trajectory.f0,
-        steps=trajectory.steps + appended,
-        stop_reason=trajectory.stop_reason,
-    )
+    return replace(trajectory, steps=trajectory.steps + appended)
 
 
 def make_underthinking(trajectory: Trajectory, rng: random.Random) -> tuple[Trajectory, int] | None:
@@ -143,14 +128,7 @@ def make_underthinking(trajectory: Trajectory, rng: random.Random) -> tuple[Traj
     if n < 2:
         return None
     e = rng.randint(1, n - 1)
-    truncated = Trajectory(
-        sample_id=trajectory.sample_id,
-        original_query=trajectory.original_query,
-        f0=trajectory.f0,
-        steps=trajectory.steps[:e],
-        stop_reason=trajectory.stop_reason,
-    )
-    return truncated, e
+    return replace(trajectory, steps=trajectory.steps[:e]), e
 
 
 def make_insufficient_decomposition(
@@ -174,14 +152,7 @@ def make_insufficient_decomposition(
         attempt_count=right.attempt_count,
     )
     steps = trajectory.steps[: j - 1] + [merged] + trajectory.steps[j + 1 :]
-    out = Trajectory(
-        sample_id=trajectory.sample_id,
-        original_query=trajectory.original_query,
-        f0=trajectory.f0,
-        steps=steps,
-        stop_reason=trajectory.stop_reason,
-    )
-    return out, j
+    return replace(trajectory, steps=steps), j
 
 
 def _pair(

@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 
 from icr.cli import main
+from icr.corpus import write_collection
 from icr.errors import ProviderUnavailable
 from icr.manifest import load_manifest, verify_outputs
 
-from .conftest import build_cli_workspace
+from .conftest import build_cli_workspace, make_tier_corpus
 
 
 @pytest.fixture()
@@ -181,3 +182,72 @@ def test_infer_both_report_writes_two_runs(ws, capsys):
     manifest = load_manifest(run + ".manifest.json")
     assert set(manifest["outputs"]) == {run + ".sparse", run + ".dense"}
     capsys.readouterr()
+
+
+def _crdg_output(ws) -> str:
+    sparse, dense = _build_indexes(ws)
+    dcr = str(ws["out"] / "dcr.jsonl")
+    assert main(["crdg", "--dataset", ws["dataset"], "--sparse-index", sparse, "--dense-index", dense,
+                 "--mock-script", ws["script"], "--out", dcr, "--config", ws["config"]]) == 0
+    return dcr
+
+
+def test_cut_crdg_output_is_a_data_error(ws, capsys):
+    dcr = _crdg_output(ws)
+    Path(dcr).write_bytes(Path(dcr).read_bytes()[:24])
+    capsys.readouterr()
+    out = str(ws["out"] / "x")
+    for argv in (
+        ["sftdata", "--crdg", dcr, "--dataset", ws["dataset"], "--out", out],
+        ["prefdata", "--crdg", dcr, "--dataset", ws["dataset"], "--mock-script", ws["script"], "--out", out],
+        ["analyze", "--crdg", dcr, "--out", out],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {dcr}:1: invalid JSON")
+
+
+@pytest.mark.parametrize("command", ["analyze", "sftdata"])
+def test_crdg_record_missing_a_trajectory_field_is_a_data_error(ws, capsys, command):
+    dcr = ws["out"] / "dcr.jsonl"
+    dcr.write_text('{"sample_id": "s1", "stop_reason": "early_stop"}\n', encoding="utf-8")
+    argv = [command, "--crdg", str(dcr), "--dataset", ws["dataset"], "--out", str(ws["out"] / "x")]
+    if command == "analyze":
+        argv.remove("--dataset")
+        argv.remove(ws["dataset"])
+    assert main(argv) == 2
+    assert f"data error: {dcr}:1: missing field 'original_query'" in capsys.readouterr().err
+
+
+def _jsonl_collection(ws) -> str:
+    path = str(ws["out"] / "collection.jsonl")
+    write_collection(make_tier_corpus(), path)
+    return path
+
+
+# Each case: the JSONL input to cut, and the command line that reads it.
+JSONL_INPUTS = {
+    "collection": (_jsonl_collection, lambda ws, p: [
+        "build-index", "--collection", p, "--out", str(ws["out"] / "i")]),
+    "dataset": (lambda ws: ws["dataset"], lambda ws, p: [
+        "crdg", "--dataset", p, "--mock-script", ws["script"], "--out", str(ws["out"] / "x")]),
+    "sftdata-crdg": (_crdg_output, lambda ws, p: [
+        "sftdata", "--crdg", p, "--dataset", ws["dataset"], "--out", str(ws["out"] / "x")]),
+    "prefdata-crdg": (_crdg_output, lambda ws, p: [
+        "prefdata", "--crdg", p, "--dataset", ws["dataset"], "--mock-script", ws["script"],
+        "--out", str(ws["out"] / "x")]),
+    "analyze-crdg": (_crdg_output, lambda ws, p: ["analyze", "--crdg", p, "--out", str(ws["out"] / "x")]),
+    "mock-script": (lambda ws: ws["script"], lambda ws, p: [
+        "latency", "--dataset", ws["dataset"], "--mock-script", p, "--out", str(ws["out"] / "x")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSONL_INPUTS))
+def test_every_jsonl_input_cut_mid_line_is_a_data_error(ws, capsys, case):
+    make_input, argv = JSONL_INPUTS[case]
+    path = make_input(ws)
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    assert len(lines) >= 2
+    Path(path).write_bytes(lines[0] + lines[1][: len(lines[1]) // 2])
+    capsys.readouterr()
+    assert main(argv(ws, path)) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {path}:2: ")

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
-from icr.config import load_config, parse_config_text, resolve_config
+from icr.config import _SCHEMA, load_config, parse_config_text, resolve_config
 from icr.errors import TypeMismatch, UnknownKey
 from icr.manifest import RunManifest, load_manifest, verify_outputs
-from icr.sparse_index import Bm25Params
+from icr.sparse_index import BM25_PROFILES, Bm25Params
 
 
 def test_empty_config_gives_all_defaults():
@@ -125,3 +128,32 @@ def test_manifest_digest_stable_across_reruns(tmp_path):
     m2.add_output(str(out))
     d2 = load_manifest(m2.write())["outputs"]
     assert d1 == d2
+
+
+def test_readme_config_table_matches_the_schema_and_defaults():
+    """The README's "Configuration keys" table names every schema key and no
+    other, and each default it shows as a number or a backticked literal is
+    the value an empty config resolves to."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    cfg = load_config(None)
+    table_keys = []
+    for key_cell, default_cell in rows:
+        keys = re.findall(r"`([^`]+)`", key_cell)
+        table_keys += keys
+        default = default_cell.strip()
+        literal = re.fullmatch(r"`([^`]+)`", default)
+        for key in keys:
+            if key == "bm25.profile":
+                assert BM25_PROFILES[literal.group(1)] == cfg.bm25
+                continue
+            section_name, name = key.split(".", 1)
+            holder = getattr(cfg, section_name, None)
+            value = getattr(cfg, name) if section_name == "dataset" else (
+                getattr(holder, name) if holder is not None else getattr(cfg, f"{section_name}_{name}"))
+            if literal:
+                assert value == literal.group(1), key
+            elif re.fullmatch(r"-?\d+(\.\d+)?", default):
+                assert value == float(default), key
+    assert sorted(table_keys) == sorted(_SCHEMA)

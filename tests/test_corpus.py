@@ -173,3 +173,33 @@ def test_qrels_sample_index_follows_overwrites():
     assert qrels.for_sample("nope") == {} and qrels.relevant_ids("nope") == set()
     qrels.for_sample("s1")["p3"] = 1  # a copy: the index is not changed
     assert qrels.relevant_ids("s1") == {"p2"}
+
+
+@pytest.mark.parametrize("history, named", [([1], "history[0]"), (5, "history")], ids=["turn", "list"])
+def test_load_cqr_dataset_history_must_be_a_list_of_objects(tmp_path, history, named):
+    path = tmp_path / "data.jsonl"
+    rec = {"sample_id": "s1", "history": history, "query": "q", "gold_passage_ids": ["p9"]}
+    path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as err:
+        load_cqr_dataset(str(path))
+    assert (err.value.path, err.value.line_no) == (str(path), 1)
+    assert err.value.reason.startswith(f"{named} is not")
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '"text"', '{"sample_id": "s1", "hist'])
+def test_load_cqr_dataset_rejects_a_line_that_is_not_an_object(tmp_path, line):
+    path = tmp_path / "data.jsonl"
+    good = {"sample_id": "s0", "history": [], "query": "q", "gold_passage_ids": ["p9"]}
+    path.write_text(json.dumps(good) + "\n\n" + line, encoding="utf-8")
+    with pytest.raises(MalformedRecord) as err:
+        load_cqr_dataset(str(path))
+    assert err.value.line_no == 3
+
+
+def test_jsonl_line_cut_inside_a_character_is_a_malformed_record(tmp_path):
+    path = tmp_path / "coll.jsonl"
+    line = json.dumps({"id": "p2", "text": "café"}, ensure_ascii=False).encode("utf-8")
+    path.write_bytes(b'{"id": "p1", "text": "x"}\n' + line[: line.index(b"\xa9")])
+    with pytest.raises(MalformedRecord) as err:
+        list(load_collection(str(path)))
+    assert err.value.line_no == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import threading
 import time
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from icr.corpus import Turn
-from icr.errors import EmptyResponse, MissingRequired, MissingScriptEntry, ProviderUnavailable
+from icr.errors import EmptyResponse, MissingField, MissingRequired, MissingScriptEntry, ProviderUnavailable
 from icr.genclient import (
     RemoteChatClient,
     ScriptedMock,
@@ -100,6 +101,20 @@ def test_mock_jsonl_roundtrip(tmp_path):
     mock.to_jsonl(str(path))
     loaded = ScriptedMock.from_jsonl(str(path))
     assert loaded.script == mock.script
+
+
+
+@pytest.mark.parametrize("field", ["kind", "fingerprint", "response"])
+def test_mock_jsonl_line_missing_a_field_is_a_data_error(tmp_path, field):
+    record = {"kind": "clarify", "fingerprint": "q", "attempt": 0, "response": "c?"}
+    del record[field]
+    path = tmp_path / "script.jsonl"
+    path.write_text('{"kind": "clarify", "fingerprint": "p", "response": "x"}\n' + json.dumps(record) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(MissingField) as err:
+        ScriptedMock.from_jsonl(str(path))
+    assert err.value.name == field
+    assert f"{path}:2:" in str(err.value)
 
 
 def test_trajectory_kind_uses_conversation_fingerprint():
