@@ -3,7 +3,7 @@
 Subcommands: build-index, embed-index, crdg, prefdata, sftdata, infer,
 fuse, evaluate, analyze, latency. Every stochastic command takes --seed,
 every command takes --config (strict key-value file), and every invocation
-writes a run manifest beside its primary output.
+writes a run manifest at ``<--out>.manifest.json``.
 
 Exit codes: 0 ok, 1 usage error, 2 data error, 3 provider error.
 """
@@ -92,16 +92,6 @@ def _dataset(args, config: Config):
     return path, load_cqr_dataset(path)
 
 
-def _write_manifest(command: str, config: Config, seed: int | None, inputs, outputs, path=None) -> None:
-    """Write a finished command's manifest, by default beside its first output."""
-    manifest = RunManifest(command, config.raw, seed=seed)
-    for p in inputs:
-        manifest.add_input(p)
-    for p in outputs:
-        manifest.add_output(p)
-    manifest.write(path)
-
-
 def _write_report(report: dict, path: str) -> None:
     """Write a JSON report to ``path`` and print it."""
     text = json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True)
@@ -110,46 +100,41 @@ def _write_report(report: dict, path: str) -> None:
     print(text)
 
 
-def cmd_build_index(args) -> int:
-    config = load_config(args.config)
+# Each command returns the input and output paths that ``main`` records in
+# its manifest.
+
+
+def cmd_build_index(args, config: Config) -> tuple[list, list]:
     collection_path = _require_path(args.collection or config.collection, "--collection")
     fmt = args.format or config.collection_format
     index = build_sparse_index(load_collection(collection_path, fmt), config.bm25)
     save_sparse_index(index, args.out)
-    _write_manifest("build-index", config, None, [collection_path], [args.out])
     print(f"indexed {index.doc_count} passages -> {args.out}")
-    return EXIT_OK
+    return [collection_path], [args.out]
 
 
-def cmd_embed_index(args) -> int:
-    config = load_config(args.config)
+def cmd_embed_index(args, config: Config) -> tuple[list, list]:
     collection_path = _require_path(args.collection or config.collection, "--collection")
     fmt = args.format or config.collection_format
     provider = _make_provider(args, config)
     index = build_dense_index(load_collection(collection_path, fmt), provider)
     save_dense_index(index, args.out)
-    manifest_path = args.out.rstrip("/") + ".manifest.json"
-    _write_manifest("embed-index", config, None, [collection_path], [args.out], manifest_path)
     print(f"embedded {index.doc_count} passages (dim {index.dim}) -> {args.out}")
-    return EXIT_OK
+    return [collection_path], [args.out]
 
 
-def cmd_crdg(args) -> int:
-    config = load_config(args.config)
+def cmd_crdg(args, config: Config) -> tuple[list, list]:
     dataset_path, samples = _dataset(args, config)
     sparse, dense, provider = _load_indexes(args, config.crdg.f_mode)
     client = _make_client(args, config)
     stats = crdg_mod.build_crdg_dataset(
         samples, client, sparse, dense, provider, config.crdg, args.out, seed=args.seed
     )
-    inputs = [dataset_path, args.sparse_index, args.dense_index, args.mock_script]
-    _write_manifest("crdg", config, args.seed, inputs, [args.out])
     print(f"trajectories written={stats.written} skipped={stats.skipped} errors={stats.errors}")
-    return EXIT_OK
+    return [dataset_path, args.sparse_index, args.dense_index, args.mock_script], [args.out]
 
 
-def cmd_prefdata(args) -> int:
-    config = load_config(args.config)
+def cmd_prefdata(args, config: Config) -> tuple[list, list]:
     dataset_path, samples = _dataset(args, config)
     trajectories = crdg_mod.load_trajectories(args.crdg)
     sparse, dense, provider = _load_indexes(args, config.crdg.f_mode)
@@ -158,30 +143,25 @@ def cmd_prefdata(args) -> int:
         trajectories, samples, client, sparse, dense, provider, config.crdg,
         args.out, seed=args.seed, multi_ot=args.multi_ot,
     )
-    inputs = [args.crdg, dataset_path, args.sparse_index, args.dense_index, args.mock_script]
-    _write_manifest("prefdata", config, args.seed, inputs, [args.out])
     print(
         f"pairs ot={stats.ot} ut={stats.ut} id={stats.id} "
         f"not_constructible={stats.not_constructible} errors={stats.errors}"
     )
-    return EXIT_OK
+    return [args.crdg, dataset_path, args.sparse_index, args.dense_index, args.mock_script], [args.out]
 
 
-def cmd_sftdata(args) -> int:
-    config = load_config(args.config)
+def cmd_sftdata(args, config: Config) -> tuple[list, list]:
     dataset_path, samples = _dataset(args, config)
     records = crdg_mod.read_crdg_records(args.crdg)
     stats = sftdata_mod.emit_sft_dataset(records, samples, args.out)
-    _write_manifest("sftdata", config, args.seed, [args.crdg, dataset_path], [args.out])
     print(
         f"sft records={stats.written} skipped_empty={stats.skipped_empty} "
         f"skipped_errors={stats.skipped_errors}"
     )
-    return EXIT_OK
+    return [args.crdg, dataset_path], [args.out]
 
 
-def cmd_infer(args) -> int:
-    config = load_config(args.config)
+def cmd_infer(args, config: Config) -> tuple[list, list]:
     dataset_path, samples = _dataset(args, config)
     inference = config.inference
     if args.retriever:
@@ -200,13 +180,10 @@ def cmd_infer(args) -> int:
             directory = args.per_query_dir if single else f"{args.per_query_dir}.{name}"
             outputs += emit_per_query_runs(batch, directory)
         print(f"{name}: wrote fused run for {len(batch)} samples -> {out}")
-    inputs = [dataset_path, args.sparse_index, args.dense_index, args.mock_script]
-    _write_manifest("infer", config, args.seed, inputs, outputs, args.out + ".manifest.json")
-    return EXIT_OK
+    return [dataset_path, args.sparse_index, args.dense_index, args.mock_script], outputs
 
 
-def cmd_fuse(args) -> int:
-    config = load_config(args.config)
+def cmd_fuse(args, config: Config) -> tuple[list, list]:
     fusion = FusionConfig(
         k=args.k if args.k is not None else config.fusion.k,
         mode=args.mode or config.fusion.mode,
@@ -219,23 +196,19 @@ def cmd_fuse(args) -> int:
         lists = [run.get(qid, RankedList(qid, [])) for run in runs]
         fused.append(fuse(lists, fusion, tag=qid))
     write_run(fused, args.out)
-    _write_manifest("fuse", config, None, args.runs, [args.out])
     print(f"fused {len(args.runs)} runs over {len(sample_ids)} queries -> {args.out}")
-    return EXIT_OK
+    return args.runs, [args.out]
 
 
-def cmd_evaluate(args) -> int:
-    config = load_config(args.config)
+def cmd_evaluate(args, config: Config) -> tuple[list, list]:
     run = read_run(args.run)
     qrels = load_qrels(args.qrels)
     report = evaluate_run(run, qrels)
     _write_report(report, args.out)
-    _write_manifest("evaluate", config, None, [args.run, args.qrels], [args.out])
-    return EXIT_OK
+    return [args.run, args.qrels], [args.out]
 
 
-def cmd_analyze(args) -> int:
-    config = load_config(args.config)
+def cmd_analyze(args, config: Config) -> tuple[list, list]:
     trajectories = crdg_mod.load_trajectories(args.crdg)
     paths = [t.f_path() for t in trajectories]
     lengths = [int(x) for x in args.lengths.split(",")] if args.lengths else [4, 5, 6]
@@ -247,20 +220,17 @@ def cmd_analyze(args) -> int:
         "delta_f": {str(n): means for n, means in delta_f_profile(paths, lengths).items()},
     }
     _write_report(report, args.out)
-    _write_manifest("analyze", config, None, [args.crdg], [args.out])
-    return EXIT_OK
+    return [args.crdg], [args.out]
 
 
-def cmd_latency(args) -> int:
-    config = load_config(args.config)
+def cmd_latency(args, config: Config) -> tuple[list, list]:
     dataset_path, samples = _dataset(args, config)
     inference = config.inference
     inference.step_wise = args.step_wise
     client = _make_client(args, config)
     report = measure_latency(samples, client, inference)
     _write_report(report, args.out)
-    _write_manifest("latency", config, None, [dataset_path], [args.out])
-    return EXIT_OK
+    return [dataset_path], [args.out]
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
@@ -281,6 +251,7 @@ def _add_index_args(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="icr", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.set_defaults(seed=None)  # commands without --seed record none
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-index", help="build a BM25 index over a passage collection")
@@ -369,10 +340,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and write its manifest at ``<--out>.manifest.json``."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        config = load_config(args.config)
+        manifest = RunManifest(args.command, config.raw, seed=args.seed)
+        inputs, outputs = args.func(args, config)
+        for path in inputs:
+            manifest.add_input(path)
+        for path in outputs:
+            manifest.add_output(path)
+        manifest.write(args.out.rstrip("/") + ".manifest.json")
+        return EXIT_OK
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

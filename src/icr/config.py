@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .corpus import _open_text
 from .crdg import CrdgConfig
 from .errors import TypeMismatch, UnknownKey
 from .evaluation import F_MODES
@@ -137,6 +138,6 @@ def load_config(path: str | None) -> Config:
     """Load and validate a config file; None gives all defaults."""
     if path is None:
         return resolve_config({})
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         text = fh.read()
     return resolve_config(parse_config_text(text, source=str(path)))

@@ -14,8 +14,9 @@ construction and are safe to share across threads.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import DuplicateId, MalformedRecord, MissingField
 
@@ -118,6 +119,37 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
             yield line_no, obj
 
 
+def _jsonl_line(obj) -> str:
+    """One JSONL record in the compact encoding every dataset writer uses."""
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+@contextmanager
+def _open_text(path: str) -> Iterator[TextIO]:
+    """Open a UTF-8 text file for reading.
+
+    Raises:
+        MalformedRecord: invalid UTF-8 is read, naming the first bad line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise MalformedRecord(path, _first_bad_line(path), "invalid UTF-8") from None
+
+
+def _first_bad_line(path: str) -> int:
+    """The number of the first line holding invalid UTF-8, counting lines
+    as iterating the file does: the bad bytes decode to lone surrogates."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                break
+    return line_no
+
+
 def _collection_rows(path: str, fmt: str) -> Iterator[tuple[int, str, str]]:
     """``(line_no, id, text)`` per passage line of a collection file."""
     if fmt == "jsonl":
@@ -126,7 +158,7 @@ def _collection_rows(path: str, fmt: str) -> Iterator[tuple[int, str, str]]:
                 raise MalformedRecord(path, line_no, "record needs id and text fields")
             yield line_no, str(obj["id"]), str(obj["text"])
         return
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
@@ -181,12 +213,19 @@ def load_cqr_dataset(path: str) -> list[CQRSample]:
     Samples are returned in file order with history order preserved.
 
     Raises:
-        MalformedRecord: unparseable JSON or invalid turn content.
+        MalformedRecord: unparseable JSON, invalid turn content, or a
+            repeated ``sample_id``.
         MissingField: a required field is absent.
     """
     samples: list[CQRSample] = []
+    first_line: dict[str, int] = {}
     for line_no, obj in read_jsonl(path):
         sample_id = str(_require(obj, "sample_id", path, line_no))
+        if sample_id in first_line:
+            raise MalformedRecord(
+                path, line_no, f"sample_id {sample_id!r} repeats line {first_line[sample_id]}"
+            )
+        first_line[sample_id] = line_no
         raw_history = _require(obj, "history", path, line_no)
         query = str(_require(obj, "query", path, line_no))
         gold = _require(obj, "gold_passage_ids", path, line_no)
@@ -228,7 +267,7 @@ def load_qrels(path: str) -> Qrels:
     ``Qrels.overwrites`` instead of failing, matching common IR tooling.
     """
     qrels = Qrels()
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for line_no, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:

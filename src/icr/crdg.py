@@ -23,9 +23,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import CQRSample, _require, read_jsonl
+from .corpus import CQRSample, _jsonl_line, _require, read_jsonl
 from .dense_index import DenseIndex, EmbeddingProvider
-from .errors import DataError, EmptyResponse, ProviderError, ProviderUnavailable
+from .errors import DataError, EmptyResponse, MalformedRecord, ProviderError, ProviderUnavailable
 from .evaluation import QualityScore, f_score, quality_from_dict
 from .genclient import generate_clarification, generate_rewrite, run_in_order
 from .sparse_index import SparseIndex
@@ -108,35 +108,45 @@ def generate_trajectory(
 
     f0 = score(sample.query)
     traj = Trajectory(sample.sample_id, sample.query, f0)
-    best = f0.f
-    current = sample.query
     failures = 0
     for _round in range(config.max_iters):
-        accepted = False
-        for attempt in range(config.resample_budget + 1):
-            try:
-                clarification = generate_clarification(client, current, attempt)
-                rewrite = generate_rewrite(client, sample.history, current, clarification, attempt)
-                quality = score(rewrite)
-            except EmptyResponse:
-                continue
-            except ProviderUnavailable:
-                traj.stop_reason = STOP_PROVIDER_FAILURE
-                return traj
-            if quality.f > best:
-                traj.steps.append(TrajectoryStep(clarification, rewrite, quality, attempt + 1))
-                best = quality.f
-                current = rewrite
-                failures = 0
-                accepted = True
-                break
-        if not accepted:
+        best = traj.f_path()[-1]
+        try:
+            step = _next_step(
+                client, sample, traj.final_rewrite(), score, lambda f: f > best, config.resample_budget
+            )
+        except ProviderUnavailable:
+            traj.stop_reason = STOP_PROVIDER_FAILURE
+            return traj
+        if step is not None:
+            traj.steps.append(step)
+            failures = 0
+        else:
             failures += 1
             if failures >= config.early_stop:
                 traj.stop_reason = STOP_EARLY
                 return traj
     traj.stop_reason = STOP_MAX_ITERATIONS
     return traj
+
+
+def _next_step(client, sample: CQRSample, current: str, score, accept, budget: int) -> TrajectoryStep | None:
+    """One clarify-then-rewrite step from ``current``, resampled up to
+    ``budget`` times until ``accept`` holds for the rewrite's F; None when
+    no attempt is accepted.
+
+    An empty generation uses up its attempt; other errors propagate.
+    """
+    for attempt in range(budget + 1):
+        try:
+            clarification = generate_clarification(client, current, attempt)
+            rewrite = generate_rewrite(client, sample.history, current, clarification, attempt)
+        except EmptyResponse:
+            continue
+        quality = score(rewrite)
+        if accept(quality.f):
+            return TrajectoryStep(clarification, rewrite, quality, attempt + 1)
+    return None
 
 
 def _format_pairs(pairs: Iterable[tuple[str, str]]) -> str:
@@ -222,13 +232,29 @@ def trajectory_from_record(record: dict) -> Trajectory:
 def read_crdg_records(path: str) -> list[dict]:
     """Every record of a dataset file; a good record must carry every
     trajectory field that later stages read."""
-    records = []
+    return [record for record, _ in _read_crdg(path)]
+
+
+def _read_crdg(path: str) -> list[tuple[dict, Trajectory | None]]:
+    """Every record of a dataset file with its trajectory, None for a record
+    that is not good.
+
+    Raises:
+        MissingField: a good record lacks a trajectory field.
+        MalformedRecord: a good record's nested fields cannot be read.
+    """
+    out = []
     for line_no, record in read_jsonl(path):
+        trajectory = None
         if _is_good(record):
             for name in _RECORD_FIELDS:
                 _require(record, name, path, line_no)
-        records.append(record)
-    return records
+            try:
+                trajectory = trajectory_from_record(record)
+            except (KeyError, TypeError, ValueError) as e:
+                raise MalformedRecord(path, line_no, f"unreadable trajectory field: {e!r}") from None
+        out.append((record, trajectory))
+    return out
 
 
 def _is_good(record: Mapping) -> bool:
@@ -240,7 +266,7 @@ def _is_good(record: Mapping) -> bool:
 def load_trajectories(path: str) -> list[Trajectory]:
     """Trajectories from a dataset file, skipping error records and
     ``provider_failure`` trajectories."""
-    return [trajectory_from_record(r) for r in read_crdg_records(path) if _is_good(r)]
+    return [trajectory for _, trajectory in _read_crdg(path) if trajectory is not None]
 
 
 @dataclass
@@ -292,7 +318,7 @@ def build_crdg_dataset(
     with open(out_path, "a", encoding="utf-8") as fh:
         for record in run_in_order(client, build, todo):
             stats.errors += "error" in record
-            fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
+            fh.write(_jsonl_line(record))
             fh.flush()
             stats.written += 1
     return stats
@@ -312,7 +338,7 @@ def _resume(out_path: str) -> set[str]:
     kept: list[bytes] = []
     dropped = False
     with open(out_path, "rb") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             try:
                 record = json.loads(line) if line.endswith(b"\n") else None
             except ValueError:
@@ -320,10 +346,12 @@ def _resume(out_path: str) -> set[str]:
             if record is None:
                 dropped = True
                 break
+            if not isinstance(record, dict):
+                raise MalformedRecord(out_path, line_no, "expected a JSON object")
             if not _is_good(record):
                 dropped = True
                 continue
-            done.add(record["sample_id"])
+            done.add(_require(record, "sample_id", out_path, line_no))
             kept.append(line)
     if dropped:
         tmp = out_path + ".tmp"

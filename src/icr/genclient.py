@@ -33,7 +33,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .corpus import Turn, _require, read_jsonl
-from .errors import EmptyResponse, MissingRequired, MissingScriptEntry, ProviderUnavailable
+from .errors import EmptyResponse, MalformedRecord, MissingRequired, MissingScriptEntry, ProviderUnavailable
 
 if TYPE_CHECKING:
     import requests
@@ -158,7 +158,11 @@ class ScriptedMock:
         mock = cls()
         for line_no, obj in read_jsonl(path):
             entry = [_require(obj, name, path, line_no) for name in ("kind", "fingerprint", "response")]
-            mock.add(*entry, int(obj.get("attempt", 0)))
+            try:
+                attempt = int(obj.get("attempt", 0))
+            except (TypeError, ValueError):
+                raise MalformedRecord(path, line_no, f"attempt {obj['attempt']!r} is not an integer") from None
+            mock.add(*entry, attempt)
         return mock
 
     def to_jsonl(self, path: str) -> None:

@@ -20,17 +20,16 @@ yield no ut/id pairs; a transform that cannot be built returns None.
 from __future__ import annotations
 
 import functools
-import json
 import random
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple, Sequence
 
-from .corpus import CQRSample
-from .crdg import CrdgConfig, Trajectory, TrajectoryStep, serialize_trajectory
+from .corpus import CQRSample, _jsonl_line
+from .crdg import CrdgConfig, Trajectory, TrajectoryStep, _next_step, serialize_trajectory
 from .dense_index import DenseIndex, EmbeddingProvider
-from .errors import DataError, EmptyResponse, ProviderError
+from .errors import DataError, ProviderError
 from .evaluation import QualityScore, f_score
-from .genclient import generate_clarification, generate_rewrite, render_conversation, run_in_order
+from .genclient import render_conversation, run_in_order
 from .sparse_index import SparseIndex
 
 DIMENSIONS = ("ot", "ut", "id")
@@ -99,27 +98,16 @@ def extend_redundantly(
     def score(text: str) -> QualityScore:
         return f_score(text, sample, sparse, dense, provider, config.f_mode)
 
-    current = trajectory.steps[-1].rewrite
-    bound = trajectory.steps[-1].f_score.f
-    appended: list[TrajectoryStep] = []
+    steps = list(trajectory.steps)
     for _ in range(k):
-        step = None
-        for attempt in range(config.resample_budget + 1):
-            try:
-                clarification = generate_clarification(client, current, attempt)
-                rewrite = generate_rewrite(client, sample.history, current, clarification, attempt)
-            except EmptyResponse:
-                continue
-            quality = score(rewrite)
-            if quality.f <= bound:
-                step = TrajectoryStep(clarification, rewrite, quality, attempt + 1)
-                break
+        bound = steps[-1].f_score.f
+        step = _next_step(
+            client, sample, steps[-1].rewrite, score, lambda f: f <= bound, config.resample_budget
+        )
         if step is None:
             return None
-        appended.append(step)
-        current = step.rewrite
-        bound = step.f_score.f
-    return replace(trajectory, steps=trajectory.steps + appended)
+        steps.append(step)
+    return replace(trajectory, steps=steps)
 
 
 def make_underthinking(trajectory: Trajectory, rng: random.Random) -> tuple[Trajectory, int] | None:
@@ -246,7 +234,7 @@ def build_pref_dataset(
     with open(out_path, "w", encoding="utf-8") as fh:
 
         def emit(obj: dict) -> None:
-            fh.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
+            fh.write(_jsonl_line(obj))
 
         for plan, ot in zip(plans, run_in_order(client, overthink, plans)):
             trajectory, sample = plan.trajectory, plan.sample

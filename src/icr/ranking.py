@@ -8,10 +8,12 @@ ascending, no duplicate ids, truncated to the requested depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .corpus import _open_text
 from .errors import MalformedRecord
 
 
@@ -103,10 +105,11 @@ def read_run(path: str) -> dict[str, RankedList]:
 
     Entries follow the file's rank column (file order among equal ranks);
     queries keep first-seen order. A docid repeated within one query is a
-    MalformedRecord, since a ranked list holds each passage once.
+    MalformedRecord, since a ranked list holds each passage once, and so is
+    a non-finite score, which no ranking can order.
     """
     per_query: dict[str, list[tuple[int, int, str, float]]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for line_no, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:
@@ -119,6 +122,8 @@ def read_run(path: str) -> dict[str, RankedList]:
                 score = float(score_s)
             except ValueError as e:
                 raise MalformedRecord(path, line_no, f"bad rank/score: {e}") from e
+            if not isfinite(score):
+                raise MalformedRecord(path, line_no, f"score {score_s!r} is not finite")
             per_query.setdefault(qid, []).append((rank, line_no, pid, score))
     out: dict[str, RankedList] = {}
     for qid, rows in per_query.items():

@@ -14,11 +14,10 @@ any trainer can project them onto its own vocabulary.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .corpus import CQRSample
+from .corpus import CQRSample, _jsonl_line
 from .crdg import _SEGMENT_RE, CLARIFICATION_MARKER, REWRITE_MARKER, _is_good
 from .errors import DataError, MalformedTrajectory
 from .genclient import render_conversation
@@ -147,6 +146,6 @@ def emit_sft_dataset(
             if sample is None:
                 raise DataError(f"sample {record['sample_id']!r} not found in dataset")
             rec = sft_record(sample, serialized)
-            fh.write(json.dumps(rec.as_dict(), ensure_ascii=False, separators=(",", ":")) + "\n")
+            fh.write(_jsonl_line(rec.as_dict()))
             stats.written += 1
     return stats

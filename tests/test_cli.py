@@ -251,3 +251,104 @@ def test_every_jsonl_input_cut_mid_line_is_a_data_error(ws, capsys, case):
     capsys.readouterr()
     assert main(argv(ws, path)) == 2
     assert capsys.readouterr().err.startswith(f"data error: {path}:2: ")
+
+
+NESTED_BAD = (
+    '{"sample_id":"s1","original_query":"q","f0":{"f":1},"steps":[],"serialized":"",'
+    '"stop_reason":"early_stop"}\n'
+)
+
+
+@pytest.mark.parametrize("command", ["analyze", "prefdata", "sftdata"])
+def test_crdg_record_with_unreadable_nested_fields_is_a_data_error(ws, capsys, command):
+    dcr = ws["out"] / "dcr.jsonl"
+    dcr.write_text(NESTED_BAD, encoding="utf-8")
+    extra = {"analyze": [], "sftdata": ["--dataset", ws["dataset"]],
+             "prefdata": ["--dataset", ws["dataset"], "--mock-script", ws["script"]]}[command]
+    assert main([command, "--crdg", str(dcr), *extra, "--out", str(ws["out"] / "x")]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {dcr}:1: unreadable trajectory field: KeyError('sparse')")
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [('{"stop_reason":"early_stop"}', "missing field 'sample_id'"), ("[1]", "expected a JSON object")],
+    ids=["no-sample-id", "not-an-object"],
+)
+def test_resumed_crdg_record_that_names_no_sample_is_a_data_error(ws, capsys, line, reason):
+    sparse, dense = _build_indexes(ws)
+    dcr = ws["out"] / "dcr.jsonl"
+    dcr.write_text(line + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["crdg", "--dataset", ws["dataset"], "--sparse-index", sparse, "--dense-index", dense,
+                 "--mock-script", ws["script"], "--out", str(dcr), "--config", ws["config"]]) == 2
+    assert capsys.readouterr().err == f"data error: {dcr}:1: {reason}\n"
+
+
+def _run_file(ws) -> str:
+    path = ws["out"] / "run.trec"
+    path.write_text("s1 Q0 gold 1 2.0 T\ns1 Q0 tier01 2 1.0 T\ns2 Q0 gold 1 1.0 T\n", encoding="utf-8")
+    return str(path)
+
+
+# Each case: the text input to spoil, and the command line that reads it.
+TEXT_INPUTS = {
+    "tsv-collection": (lambda ws: ws["collection"], lambda ws, p: [
+        "build-index", "--collection", p, "--out", str(ws["out"] / "i")]),
+    "qrels": (lambda ws: ws["qrels"], lambda ws, p: [
+        "evaluate", "--run", _run_file(ws), "--qrels", p, "--out", str(ws["out"] / "x")]),
+    "run": (_run_file, lambda ws, p: [
+        "evaluate", "--run", p, "--qrels", ws["qrels"], "--out", str(ws["out"] / "x")]),
+    "config": (lambda ws: ws["config"], lambda ws, p: [
+        "build-index", "--collection", ws["collection"], "--config", p, "--out", str(ws["out"] / "i")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TEXT_INPUTS))
+def test_invalid_utf8_in_every_text_input_is_a_data_error(ws, capsys, case):
+    make_input, argv = TEXT_INPUTS[case]
+    path = make_input(ws)
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    assert len(lines) >= 3
+    Path(path).write_bytes(b"".join([lines[0], lines[1][:1] + b"\xff" + lines[1][1:], *lines[2:]]))
+    capsys.readouterr()
+    assert main(argv(ws, path)) == 2
+    assert capsys.readouterr().err == f"data error: {path}:2: invalid UTF-8\n"
+
+
+def _seeded(command: str) -> bool:
+    return command in ("crdg", "prefdata", "sftdata", "infer")
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["build-index", "embed-index", "crdg", "prefdata", "sftdata", "infer", "fuse", "evaluate", "analyze",
+     "latency"],
+)
+def test_every_command_writes_its_manifest_beside_out(ws, capsys, command):
+    dcr = _crdg_output(ws)
+    sparse, dense = str(ws["out"] / "sparse.idx.gz"), str(ws["out"] / "dense.idx")
+    gen = ["--mock-script", ws["script"]]
+    data = ["--dataset", ws["dataset"]]
+    idx = ["--sparse-index", sparse, "--dense-index", dense]
+    run = _run_file(ws)
+    # a directory output names its manifest without the trailing slash
+    out = str(ws["out"] / "m") + ("/" if command == "embed-index" else "")
+    args = {
+        "build-index": ["--collection", ws["collection"]],
+        "embed-index": ["--collection", ws["collection"]],
+        "crdg": [*data, *idx, *gen],
+        "prefdata": ["--crdg", dcr, *data, *idx, *gen],
+        "sftdata": ["--crdg", dcr, *data],
+        "infer": [*data, *idx, *gen],
+        "fuse": [run, run],
+        "evaluate": ["--run", run, "--qrels", ws["qrels"]],
+        "analyze": ["--crdg", dcr],
+        "latency": [*data, *gen],
+    }[command]
+    seed = ["--seed", "7"] if _seeded(command) else []
+    assert main([command, *args, "--out", out, "--config", ws["config"], *seed]) == 0
+    capsys.readouterr()
+    manifest = load_manifest(str(ws["out"] / "m.manifest.json"))
+    assert manifest["command"] == command
+    assert manifest["seed"] == (7 if _seeded(command) else None)
+    assert list(manifest["outputs"])[0] == out

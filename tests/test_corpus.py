@@ -203,3 +203,29 @@ def test_jsonl_line_cut_inside_a_character_is_a_malformed_record(tmp_path):
     with pytest.raises(MalformedRecord) as err:
         list(load_collection(str(path)))
     assert err.value.line_no == 2
+
+
+def test_load_cqr_dataset_rejects_a_repeated_sample_id(tmp_path):
+    # a repeat makes infer write one query id twice, a run evaluate rejects
+    path = tmp_path / "data.jsonl"
+    rows = [{"sample_id": sid, "history": [], "query": "q", "gold_passage_ids": ["p9"]} for sid in "aba"]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    with pytest.raises(MalformedRecord) as err:
+        load_cqr_dataset(str(path))
+    assert (err.value.line_no, err.value.reason) == (3, "sample_id 'a' repeats line 1")
+
+
+@pytest.mark.parametrize(
+    "load, good",
+    [
+        (lambda p: list(load_collection(p)), b"p1\tcaf\xc3\xa9\n"),
+        (load_qrels, b"q1 0 p1 1\n"),
+    ],
+    ids=["tsv-collection", "qrels"],
+)
+def test_invalid_utf8_in_a_text_file_is_a_malformed_record(tmp_path, load, good):
+    path = tmp_path / "input.txt"
+    path.write_bytes(good + b"\n" + good.replace(b"1", b"\xff2", 1))
+    with pytest.raises(MalformedRecord) as err:
+        load(str(path))
+    assert (err.value.path, err.value.line_no, err.value.reason) == (str(path), 3, "invalid UTF-8")

@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 from icr.corpus import Turn
-from icr.errors import EmptyResponse, MissingField, MissingRequired, MissingScriptEntry, ProviderUnavailable
+from icr.errors import (
+    EmptyResponse,
+    MalformedRecord,
+    MissingField,
+    MissingRequired,
+    MissingScriptEntry,
+    ProviderUnavailable,
+)
 from icr.genclient import (
     RemoteChatClient,
     ScriptedMock,
@@ -115,6 +122,16 @@ def test_mock_jsonl_line_missing_a_field_is_a_data_error(tmp_path, field):
         ScriptedMock.from_jsonl(str(path))
     assert err.value.name == field
     assert f"{path}:2:" in str(err.value)
+
+
+@pytest.mark.parametrize("attempt", ["x", None, [1]])
+def test_mock_jsonl_attempt_that_is_not_an_integer_is_a_data_error(tmp_path, attempt):
+    path = tmp_path / "script.jsonl"
+    record = {"kind": "clarify", "fingerprint": "q", "attempt": attempt, "response": "c?"}
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as err:
+        ScriptedMock.from_jsonl(str(path))
+    assert (err.value.line_no, err.value.reason) == (1, f"attempt {attempt!r} is not an integer")
 
 
 def test_trajectory_kind_uses_conversation_fingerprint():

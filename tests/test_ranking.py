@@ -87,6 +87,16 @@ def test_read_run_rejects_repeated_docid(tmp_path):
     assert "d1" in err.value.reason and "q1" in err.value.reason
 
 
+@pytest.mark.parametrize("score", ["nan", "inf", "-Infinity", "1e999"])
+def test_read_run_rejects_a_non_finite_score(tmp_path, score):
+    # a NaN score would sit anywhere in a ranked list and pass evaluation
+    path = tmp_path / "run.trec"
+    path.write_text(f"q1 Q0 d1 1 2.0 T\nq1 Q0 d2 2 {score} T\n")
+    with pytest.raises(MalformedRecord) as err:
+        read_run(str(path))
+    assert (err.value.line_no, err.value.reason) == (2, f"score {score!r} is not finite")
+
+
 def test_read_run_orders_by_rank_then_file_order(tmp_path):
     path = tmp_path / "run.trec"
     path.write_text("q1 Q0 b 2 1.0 T\nq1 Q0 c 1 3.0 T\nq1 Q0 a 2 1.0 T\n")
