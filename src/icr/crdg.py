@@ -253,6 +253,8 @@ def _read_crdg(path: str) -> list[tuple[dict, Trajectory | None]]:
                 trajectory = trajectory_from_record(record)
             except (KeyError, TypeError, ValueError) as e:
                 raise MalformedRecord(path, line_no, f"unreadable trajectory field: {e!r}") from None
+            if not isinstance(record["serialized"], str):
+                raise MalformedRecord(path, line_no, f"serialized {record['serialized']!r} is not a string")
         out.append((record, trajectory))
     return out
 
@@ -330,7 +332,8 @@ def _resume(out_path: str) -> set[str]:
     Only intact good records are kept, in order: a partial trailing line
     left by an interrupted run (and anything after it), error records and
     ``provider_failure`` trajectories are dropped, rewriting the file
-    atomically, so their samples run again.
+    atomically, so their samples run again. Blank lines are skipped, as
+    ``read_jsonl`` skips them.
     """
     done: set[str] = set()
     if not os.path.exists(out_path):
@@ -339,6 +342,8 @@ def _resume(out_path: str) -> set[str]:
     dropped = False
     with open(out_path, "rb") as fh:
         for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
             try:
                 record = json.loads(line) if line.endswith(b"\n") else None
             except ValueError:

@@ -59,19 +59,19 @@ class HashEmbeddingProvider:
         self.dim = dim
         self.name = f"hash-{dim}"
 
-    def _vector(self, text: str) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=np.float64)
-        for token in tokenize(text):
-            v[zlib.crc32(token.encode("utf-8")) % self.dim] += 1.0
-        norm = float(np.linalg.norm(v))
-        if norm > 0.0:
-            v /= norm
-        return v
-
     def embed_batch(self, texts: list[str], role: str | None = None) -> np.ndarray:
-        if not texts:
-            return np.zeros((0, self.dim), dtype=np.float64)
-        return np.stack([self._vector(t) for t in texts])
+        buckets: list[int] = []  # row * dim + bucket, for every token of every text
+        for row, text in enumerate(texts):
+            base = row * self.dim
+            buckets.extend([base + zlib.crc32(token.encode("utf-8")) % self.dim for token in tokenize(text)])
+        counts = np.bincount(np.array(buckets, dtype=np.int64), minlength=len(texts) * self.dim)
+        vectors = counts.reshape(len(texts), self.dim).astype(np.float64)
+        # squares of small integer counts sum exactly in any order, so these
+        # norms equal np.linalg.norm's bit for bit
+        norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
+        norms[norms == 0.0] = 1.0  # a zero vector stays zero
+        vectors /= norms[:, None]
+        return vectors
 
 
 class RemoteEmbeddingProvider(_Endpoint):
@@ -159,37 +159,25 @@ def build_dense_index(
     A provider outage mid-build raises ProviderUnavailable mentioning how
     many passages were embedded before the failure.
     """
-    ids: list[str] = []
+    passages = list(collection)
     ordinals: dict[str, int] = {}
-    chunks: list[np.ndarray] = []
-    batch: list[str] = []
-
-    def flush() -> None:
-        if not batch:
-            return
+    for passage in passages:
+        if passage.id in ordinals:
+            raise DuplicateId(passage.id)
+        ordinals[passage.id] = len(ordinals)
+    if not passages:
+        raise EmptyCollection("cannot build an index over an empty collection")
+    vectors = np.empty((len(passages), provider.dim), dtype=np.float64)
+    for lo in range(0, len(passages), batch_size):
+        batch = [passage.text for passage in passages[lo : lo + batch_size]]
         try:
             chunk = provider.embed_batch(batch, role="passage")
         except ProviderUnavailable as e:
-            done = sum(c.shape[0] for c in chunks)
-            raise ProviderUnavailable(f"{e} (embedded {done} passages before failure)") from e
+            raise ProviderUnavailable(f"{e} (embedded {lo} passages before failure)") from e
         if chunk.shape != (len(batch), provider.dim):
             raise DimensionMismatch(provider.dim, int(chunk.shape[-1]))
-        chunks.append(np.asarray(chunk, dtype=np.float64))
-        batch.clear()
-
-    for passage in collection:
-        if passage.id in ordinals:
-            raise DuplicateId(passage.id)
-        ordinals[passage.id] = len(ids)
-        ids.append(passage.id)
-        batch.append(passage.text)
-        if len(batch) >= batch_size:
-            flush()
-    flush()
-    if not ids:
-        raise EmptyCollection("cannot build an index over an empty collection")
-    vectors = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, provider.dim))
-    return DenseIndex(vectors, ids, ordinals, provider.name, provider.dim)
+        vectors[lo : lo + len(batch)] = chunk
+    return DenseIndex(vectors, list(ordinals), ordinals, provider.name, provider.dim)
 
 
 def search_dense(

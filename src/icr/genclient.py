@@ -158,6 +158,8 @@ class ScriptedMock:
         mock = cls()
         for line_no, obj in read_jsonl(path):
             entry = [_require(obj, name, path, line_no) for name in ("kind", "fingerprint", "response")]
+            if not isinstance(entry[2], str):
+                raise MalformedRecord(path, line_no, f"response {entry[2]!r} is not a string")
             try:
                 attempt = int(obj.get("attempt", 0))
             except (TypeError, ValueError):

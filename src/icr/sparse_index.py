@@ -28,7 +28,6 @@ import json
 import math
 import re
 import zipfile
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -41,10 +40,11 @@ from .ranking import RankedList, id_ranks, top_k
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 INDEX_FORMAT = "icr-sparse-index"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
-# Archive members in write order; each is an .npy array, ``meta`` holding
-# the JSON header (format, version, params, ids, terms) as UTF-8 bytes.
+# Archive members in write order; each is an .npy array of byte planes
+# (see ``_to_planes``), ``meta`` holding the JSON header (format, version,
+# params, ids, terms) as UTF-8 bytes.
 _MEMBERS = ("meta", "offsets", "ord_gaps", "tfs", "doc_lengths")
 _FIXED_TIME = (1980, 1, 1, 0, 0, 0)
 
@@ -114,41 +114,31 @@ def build_sparse_index(collection: Iterable[Passage], params: Bm25Params | None 
     """
     params = params or Bm25Params()
     terms: dict[str, int] = {}
-    rows: list[int] = []
-    ords: list[int] = []
-    tfs: list[int] = []
+    rows: list[int] = []  # the CSR row of every token, passage by passage
     doc_lengths: list[int] = []
-    ids: list[str] = []
-    seen: set[str] = set()
+    ids: dict[str, None] = {}  # an insertion-ordered set
     for passage in collection:
-        if passage.id in seen:
+        if passage.id in ids:
             raise DuplicateId(passage.id)
-        seen.add(passage.id)
-        ordinal = len(ids)
-        ids.append(passage.id)
+        ids[passage.id] = None
         tokens = tokenize(passage.text)
         doc_lengths.append(len(tokens))
-        for term, tf in Counter(tokens).items():
-            rows.append(terms.setdefault(term, len(terms)))
-            ords.append(ordinal)
-            tfs.append(tf)
+        rows.extend([terms.setdefault(term, len(terms)) for term in tokens])
     if not ids:
         raise EmptyCollection("cannot build an index over an empty collection")
-    # postings were gathered in ordinal order; a stable sort by row keeps
-    # that order within each row
-    row_arr = np.array(rows, dtype=np.int64)
-    order = np.argsort(row_arr, kind="stable")
+    # one key, row * n + ordinal, per token: the distinct keys in sorted
+    # order are the postings in CSR order, and their counts are the tfs
+    n = len(ids)
+    lengths = np.array(doc_lengths, dtype=np.int64)
+    keys = np.array(rows, dtype=np.int64)
+    del rows  # freed before the sort, which sets build-index's peak memory
+    keys *= n
+    keys += np.repeat(np.arange(n, dtype=np.int64), lengths)
+    keys, tfs = np.unique(keys, return_counts=True)
+    posting_rows, ords = np.divmod(keys, n)
     offsets = np.zeros(len(terms) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row_arr, minlength=len(terms)), out=offsets[1:])
-    return SparseIndex(
-        params,
-        terms,
-        offsets,
-        np.array(ords, dtype=np.int32)[order],
-        np.array(tfs, dtype=np.int32)[order],
-        np.array(doc_lengths, dtype=np.int64),
-        ids,
-    )
+    np.cumsum(np.bincount(posting_rows, minlength=len(terms)), out=offsets[1:])
+    return SparseIndex(params, terms, offsets, ords.astype(np.int32), tfs.astype(np.int32), lengths, list(ids))
 
 
 def search_sparse(index: SparseIndex, query: str, k: int, tag: str | None = None) -> RankedList:
@@ -188,6 +178,21 @@ def _narrow(values: np.ndarray) -> np.ndarray:
     return values.astype(np.min_scalar_type(int(values.max(initial=0))))
 
 
+def _to_planes(values: np.ndarray) -> np.ndarray:
+    """A 1-D unsigned array as a ``(itemsize, n)`` uint8 array of its
+    little-endian bytes, least significant first. Small values leave the
+    high planes runs of zeros, which deflate fast."""
+    le = values.astype(values.dtype.newbyteorder("<"), copy=False)
+    return np.ascontiguousarray(le.view(np.uint8).reshape(len(values), values.dtype.itemsize).T)
+
+
+def _from_planes(path: str, name: str, planes: np.ndarray) -> np.ndarray:
+    """Undo ``_to_planes``, returning unsigned values of the plane count's width."""
+    if planes.dtype != np.uint8 or planes.ndim != 2 or len(planes) not in (1, 2, 4, 8):
+        raise DataError(f"{path}: sparse index member {name} is not a byte-plane array")
+    return np.ascontiguousarray(planes.T).view(f"<u{len(planes)}").ravel()
+
+
 def save_sparse_index(index: SparseIndex, path: str) -> None:
     """Persist the index as a deflated archive of .npy members (npz layout).
 
@@ -211,10 +216,11 @@ def save_sparse_index(index: SparseIndex, path: str) -> None:
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
         for name in _MEMBERS:
             buf = io.BytesIO()
-            np.lib.format.write_array(buf, arrays[name], allow_pickle=False)
+            np.lib.format.write_array(buf, _to_planes(arrays[name]), allow_pickle=False)
             info = zipfile.ZipInfo(f"{name}.npy", date_time=_FIXED_TIME)
             info.compress_type = zipfile.ZIP_DEFLATED
-            zf.writestr(info, buf.getvalue())
+            # level 1 deflates byte planes almost as small as level 6, far faster
+            zf.writestr(info, buf.getvalue(), compresslevel=1)
 
 
 def _read_member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
@@ -223,7 +229,7 @@ def _read_member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
 
 
 def load_sparse_index(path: str) -> SparseIndex:
-    """Load an index written by ``save_sparse_index`` (version 2 only)."""
+    """Load an index written by ``save_sparse_index`` (version 3 only)."""
     with open(path, "rb") as fh:
         if fh.read(2) == b"\x1f\x8b":
             raise DataError(
@@ -232,7 +238,10 @@ def load_sparse_index(path: str) -> SparseIndex:
             )
     try:
         with zipfile.ZipFile(path) as zf:
-            meta = json.loads(_read_member(zf, "meta").tobytes().decode("utf-8"))
+            # version 2 wrote ``meta`` as a flat byte array, whose bytes read
+            # the same, so its version is known before the layout is checked
+            meta_planes = _read_member(zf, "meta")
+            meta = json.loads(meta_planes.tobytes().decode("utf-8"))
             if not isinstance(meta, dict) or meta.get("format") != INDEX_FORMAT:
                 raise DataError(f"{path}: not a sparse index artifact")
             if meta.get("version") != INDEX_VERSION:
@@ -240,7 +249,10 @@ def load_sparse_index(path: str) -> SparseIndex:
                     f"{path}: unsupported sparse index version {meta.get('version')}; "
                     f"re-run build-index to write version {INDEX_VERSION}"
                 )
-            offsets, gaps, tfs, doc_lengths = (_read_member(zf, name) for name in _MEMBERS[1:])
+            _from_planes(path, "meta", meta_planes)
+            offsets, gaps, tfs, doc_lengths = (
+                _from_planes(path, name, _read_member(zf, name)) for name in _MEMBERS[1:]
+            )
             offsets = offsets.astype(np.int64)
     except (KeyError, ValueError, zipfile.BadZipFile) as e:
         raise DataError(f"{path}: not a sparse index artifact ({e})") from e

@@ -8,6 +8,12 @@ independent of the library's index/search code paths.
 from __future__ import annotations
 
 import math
+import zlib
+from collections import Counter
+
+import numpy as np
+
+from icr.sparse_index import tokenize
 
 
 def oracle_mrr(ranked_ids: list[str], relevant: set[str]) -> float:
@@ -107,4 +113,44 @@ def oracle_topk(scored: list[tuple[str, float]], k: int) -> list[tuple[str, floa
         rank = sum(1 for other in scored if precedes(other, entry))
         if rank < k:
             out[rank] = entry
+    return out
+
+
+def oracle_sparse_postings(texts: list[str]):
+    """``(terms, offsets, ords, tfs, doc_lengths)`` of a BM25 index, built one
+    posting at a time: rows in first-seen term order, ordinals increasing
+    within each row."""
+    terms: dict[str, int] = {}
+    rows, ords, tfs, doc_lengths = [], [], [], []
+    for ordinal, text in enumerate(texts):
+        tokens = tokenize(text)
+        doc_lengths.append(len(tokens))
+        for term, tf in Counter(tokens).items():
+            rows.append(terms.setdefault(term, len(terms)))
+            ords.append(ordinal)
+            tfs.append(tf)
+    row_arr = np.array(rows, dtype=np.int64)
+    order = np.argsort(row_arr, kind="stable")
+    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_arr, minlength=len(terms)), out=offsets[1:])
+    return (
+        terms,
+        offsets,
+        np.array(ords, dtype=np.int32)[order],
+        np.array(tfs, dtype=np.int32)[order],
+        np.array(doc_lengths, dtype=np.int64),
+    )
+
+
+def oracle_hash_embedding(texts: list[str], dim: int) -> np.ndarray:
+    """The hash provider's vectors, one token at a time: each token adds 1 to
+    bucket ``crc32(token) % dim``, then each non-zero vector is divided by
+    its ``np.linalg.norm``."""
+    out = np.zeros((len(texts), dim), dtype=np.float64)
+    for v, text in zip(out, texts):
+        for token in tokenize(text):
+            v[zlib.crc32(token.encode("utf-8")) % dim] += 1.0
+        norm = float(np.linalg.norm(v))
+        if norm > 0.0:
+            v /= norm
     return out

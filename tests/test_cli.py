@@ -269,6 +269,29 @@ def test_crdg_record_with_unreadable_nested_fields_is_a_data_error(ws, capsys, c
     assert capsys.readouterr().err.startswith(f"data error: {dcr}:1: unreadable trajectory field: KeyError('sparse')")
 
 
+def test_crdg_record_whose_serialized_is_not_a_string_is_a_data_error(ws, capsys):
+    dcr = _crdg_output(ws)
+    record = json.loads(Path(dcr).read_text(encoding="utf-8").splitlines()[0])
+    record["serialized"] = 5
+    Path(dcr).write_text(json.dumps(record) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["sftdata", "--crdg", dcr, "--dataset", ws["dataset"], "--out", str(ws["out"] / "x")]) == 2
+    assert capsys.readouterr().err == f"data error: {dcr}:1: serialized 5 is not a string\n"
+
+
+def test_mock_script_response_that_is_not_a_string_is_a_data_error(ws, capsys):
+    sparse, dense = _build_indexes(ws)
+    script = Path(ws["script"])
+    lines = script.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[0])
+    record["response"] = 5
+    script.write_text(json.dumps(record) + "\n" + "".join(lines[1:]), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["crdg", "--dataset", ws["dataset"], "--sparse-index", sparse, "--dense-index", dense,
+                 "--mock-script", str(script), "--out", str(ws["out"] / "dcr.jsonl"), "--config", ws["config"]]) == 2
+    assert capsys.readouterr().err == f"data error: {script}:1: response 5 is not a string\n"
+
+
 @pytest.mark.parametrize(
     "line, reason",
     [('{"stop_reason":"early_stop"}', "missing field 'sample_id'"), ("[1]", "expected a JSON object")],

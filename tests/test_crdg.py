@@ -317,6 +317,22 @@ def test_build_dataset_recovers_from_partial_line(
     assert [r["sample_id"] for r in records] == ["s1", "s2", "s3"]
 
 
+def test_resume_skips_blank_lines(tmp_path, three_samples, tier_sparse, tier_dense, tier_provider):
+    def resume(lines: list[bytes]) -> tuple:
+        out.write_bytes(b"".join(lines))
+        stats = build_crdg_dataset(
+            three_samples, _three_sample_mock(), tier_sparse, tier_dense, tier_provider, CrdgConfig(), str(out),
+        )
+        return stats.skipped, stats.written, [r["sample_id"] for r in read_crdg_records(str(out))]
+
+    out = tmp_path / "dcr.jsonl"
+    build_crdg_dataset(
+        three_samples, _three_sample_mock(), tier_sparse, tier_dense, tier_provider, CrdgConfig(), str(out),
+    )
+    lines = out.read_bytes().splitlines(keepends=True)
+    assert resume(lines[:1] + [b"\n", b"  \n"] + lines[1:]) == resume(lines) == (2, 1, ["s1", "s2", "s3"])
+
+
 def test_resume_reruns_provider_failures(tmp_path, tier_sample, tier_sparse, tier_dense, tier_provider):
     # s1 takes 30 calls; the outage starts inside s2 and covers s4
     samples = [tier_sample, CQRSample("s2", [], "kelpie", {"gold"}), CQRSample("s4", [], tier_query(1), {"gold"})]

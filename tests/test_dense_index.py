@@ -18,10 +18,10 @@ from icr.dense_index import (
     save_dense_index,
     search_dense,
 )
-from icr.errors import DimensionMismatch, EmptyCollection, ProviderMismatch, ProviderUnavailable
+from icr.errors import DimensionMismatch, DuplicateId, EmptyCollection, ProviderMismatch, ProviderUnavailable
 from icr.genclient import run_in_order
 
-from .oracles import oracle_dense_topk
+from .oracles import oracle_dense_topk, oracle_hash_embedding
 
 
 def test_mock_empty_text_is_zero_vector():
@@ -271,3 +271,60 @@ def test_top100_matches_oracle_with_ties():
         assert got.ids() == [pid for pid, _ in want]
         for (_, gs), (_, es) in zip(got.entries, want):
             assert gs == pytest.approx(es, abs=1e-9)
+
+
+@pytest.mark.parametrize("n_texts", [0, 1, 65])
+def test_hash_embedding_equals_per_token_oracle(n_texts):
+    # few words and small dims: buckets collide and tokens repeat
+    rng = random.Random(n_texts)
+    vocab = ["", "a", "b", "c", "Dé", "x_y"]
+    for dim in (1, 3, 16):
+        provider = HashEmbeddingProvider(dim=dim)
+        texts = [" ".join(rng.choices(vocab, k=rng.randint(0, 30))) for _ in range(n_texts)]
+        if texts:
+            texts[0] = "a a a a a"
+        got = provider.embed_batch(texts)
+        want = oracle_hash_embedding(texts, dim)
+        assert got.dtype == want.dtype and got.shape == (n_texts, dim) and np.array_equal(got, want)
+
+
+def test_build_equals_per_token_oracle_across_batches():
+    rng = random.Random(17)
+    vocab = [f"w{i}" for i in range(12)]
+    texts = [" ".join(rng.choices(vocab, k=rng.randint(0, 12))) for _ in range(150)]
+    index = build_dense_index([Passage(f"p{i}", t) for i, t in enumerate(texts)], HashEmbeddingProvider(dim=8))
+    assert np.array_equal(index.vectors, oracle_hash_embedding(texts, 8))
+    assert index.ids == [f"p{i}" for i in range(150)]
+    assert index.ordinals == {f"p{i}": i for i in range(150)}
+
+
+class _CountingProvider(HashEmbeddingProvider):
+    def __init__(self):
+        super().__init__(dim=4)
+        self.calls = 0
+
+    def embed_batch(self, texts, role=None):
+        self.calls += 1
+        return super().embed_batch(texts, role)
+
+
+def test_build_checks_ids_before_embedding():
+    provider = _CountingProvider()
+    passages = [Passage(f"p{i}", "text") for i in range(100)] + [Passage("p0", "again")]
+    with pytest.raises(DuplicateId):
+        build_dense_index(passages, provider, batch_size=10)
+    with pytest.raises(EmptyCollection):
+        build_dense_index(iter([]), provider)
+    assert provider.calls == 0
+
+
+def test_build_outage_mid_build_reports_passages_done():
+    class Failing(HashEmbeddingProvider):
+        def embed_batch(self, texts, role=None):
+            if texts[0] == "t4":
+                raise ProviderUnavailable("down")
+            return super().embed_batch(texts, role)
+
+    passages = [Passage(f"p{i}", f"t{i}") for i in range(6)]
+    with pytest.raises(ProviderUnavailable, match=r"embedded 4 passages before failure"):
+        build_dense_index(passages, Failing(dim=4), batch_size=2)

@@ -134,6 +134,17 @@ def test_mock_jsonl_attempt_that_is_not_an_integer_is_a_data_error(tmp_path, att
     assert (err.value.line_no, err.value.reason) == (1, f"attempt {attempt!r} is not an integer")
 
 
+@pytest.mark.parametrize("response", [5, None, ["c?"]])
+def test_mock_jsonl_response_that_is_not_a_string_is_a_data_error(tmp_path, response):
+    path = tmp_path / "script.jsonl"
+    record = {"kind": "clarify", "fingerprint": "q", "response": response}
+    path.write_text('{"kind": "clarify", "fingerprint": "p", "response": "x"}\n' + json.dumps(record) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(MalformedRecord) as err:
+        ScriptedMock.from_jsonl(str(path))
+    assert (err.value.line_no, err.value.reason) == (2, f"response {response!r} is not a string")
+
+
 def test_trajectory_kind_uses_conversation_fingerprint():
     context = "Q: q1\nA: a1\nQ: q2"
     mock = ScriptedMock().add("trajectory", context, "[Clarification] c [Rewrite] r")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import math
 import random
@@ -15,6 +16,8 @@ from icr.sparse_index import (
     BM25_PROFILES,
     INDEX_VERSION,
     Bm25Params,
+    _from_planes,
+    _to_planes,
     build_sparse_index,
     load_sparse_index,
     save_sparse_index,
@@ -22,7 +25,7 @@ from icr.sparse_index import (
     tokenize,
 )
 
-from .oracles import oracle_bm25_topk
+from .oracles import oracle_bm25_topk, oracle_sparse_postings
 
 
 def _postings(index) -> dict[str, list[tuple[int, int]]]:
@@ -238,3 +241,96 @@ def test_malformed_artifacts_are_data_errors(tmp_path):
     for path in (truncated, text):
         with pytest.raises(DataError):
             load_sparse_index(str(path))
+
+
+def _assert_equals_oracle(texts: list[str]) -> None:
+    index = build_sparse_index([Passage(f"p{i}", t) for i, t in enumerate(texts)])
+    terms, offsets, ords, tfs, doc_lengths = oracle_sparse_postings(texts)
+    assert index.terms == terms and list(index.terms) == list(terms)
+    for name, want in (("offsets", offsets), ("ords", ords), ("tfs", tfs), ("doc_lengths", doc_lengths)):
+        got = getattr(index, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_build_equals_per_posting_oracle_on_random_corpora():
+    # a few terms over many passages: most rows are long, and tfs repeat
+    rng = random.Random(13)
+    for _ in range(40):
+        vocab = [f"t{i}" for i in range(rng.randint(1, 8))]
+        texts = [" ".join(rng.choices(vocab, k=rng.randint(0, 15))) for _ in range(rng.randint(1, 120))]
+        _assert_equals_oracle(texts)
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [[""], ["", "", ""], ["a a a a"], ["", "b b", "", "a b a b a"], ["x"] * 65, ["Ünï ünï CODE code_code"]],
+    ids=["one-empty", "all-empty", "one-repeated", "empty-between", "65-same", "unicode-case"],
+)
+def test_build_equals_per_posting_oracle_on_edge_texts(texts):
+    _assert_equals_oracle(texts)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+def test_byte_planes_round_trip(dtype):
+    values = np.array([0, np.iinfo(dtype).max, 0, 1], dtype=dtype)
+    planes = _to_planes(values)
+    itemsize = np.dtype(dtype).itemsize
+    assert planes.dtype == np.uint8 and planes.shape == (itemsize, 4)
+    assert planes[0].tolist() == [0, 255, 0, 1]  # least significant byte first
+    back = _from_planes("x.idx", "m", planes)
+    assert back.dtype == np.dtype(dtype) and np.array_equal(back, values)
+    assert _from_planes("x.idx", "m", _to_planes(values[:0])).dtype == np.dtype(dtype)
+
+
+def _write_members(path, members: dict) -> None:
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
+        for name, array in members.items():
+            buf = io.BytesIO()
+            np.lib.format.write_array(buf, array, allow_pickle=False)
+            zf.writestr(f"{name}.npy", buf.getvalue())
+
+
+def _members(path) -> dict:
+    with zipfile.ZipFile(path) as zf:
+        return {
+            name[: -len(".npy")]: np.lib.format.read_array(io.BytesIO(zf.read(name)), allow_pickle=False)
+            for name in zf.namelist()
+        }
+
+
+def test_version_2_artifact_is_rejected(tmp_path):
+    # version 2 stored every member as a flat array of its narrowed dtype
+    meta = {"format": "icr-sparse-index", "version": 2, "params": {"k1": 0.9, "b": 0.4}, "ids": ["p1"], "terms": ["a"]}
+    path = tmp_path / "v2.idx"
+    _write_members(path, {
+        "meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+        "offsets": np.array([0, 1], dtype=np.uint8),
+        "ord_gaps": np.array([0], dtype=np.uint8),
+        "tfs": np.array([1], dtype=np.uint8),
+        "doc_lengths": np.array([1], dtype=np.uint8),
+    })
+    with pytest.raises(DataError) as err:
+        load_sparse_index(str(path))
+    assert "version 2" in str(err.value) and "build-index" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "name, array",
+    [
+        ("ord_gaps", np.array([0, 0], dtype=np.uint8)),  # flat, as in version 2
+        ("tfs", np.ones((3, 2), dtype=np.uint8)),  # three planes
+        ("tfs", np.ones((2, 2), dtype=np.uint16)),  # planes of a wider dtype
+        ("offsets", np.ones((1, 2, 2), dtype=np.uint8)),
+        ("meta", None),  # the version 3 header, flat
+    ],
+    ids=["flat", "three-planes", "uint16-planes", "three-dims", "flat-meta"],
+)
+def test_malformed_plane_members_are_data_errors(tmp_path, name, array):
+    good = tmp_path / "good.idx"
+    save_sparse_index(build_sparse_index([Passage("p1", "a b"), Passage("p2", "b")]), str(good))
+    members = _members(good)
+    members[name] = members["meta"].ravel() if array is None else array
+    bad = tmp_path / "bad.idx"
+    _write_members(bad, members)
+    with pytest.raises(DataError, match="byte-plane"):
+        load_sparse_index(str(bad))
