@@ -191,11 +191,15 @@ def cmd_fuse(args, config: Config) -> tuple[list, list]:
     )
     runs = [read_run(p) for p in args.runs]
     sample_ids = list(dict.fromkeys(qid for run in runs for qid in run))
-    fused = []
-    for qid in sample_ids:
-        lists = [run.get(qid, RankedList(qid, [])) for run in runs]
-        fused.append(fuse(lists, fusion, tag=qid))
-    write_run(fused, args.out)
+
+    def fused():
+        for qid in sample_ids:
+            # a query stops at the last run that holds it, as in
+            # emit_per_query_runs, so final_only takes its own last list
+            last = max(i for i, run in enumerate(runs) if qid in run)
+            yield fuse([run.get(qid, RankedList(qid)) for run in runs[: last + 1]], fusion, tag=qid)
+
+    write_run(fused(), args.out)
     print(f"fused {len(args.runs)} runs over {len(sample_ids)} queries -> {args.out}")
     return args.runs, [args.out]
 

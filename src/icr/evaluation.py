@@ -228,8 +228,9 @@ def evaluate_run(run: Mapping[str, RankedList], qrels: Qrels) -> dict:
     zeros and ``degenerate: true``.
     """
     per_sample: dict[str, dict] = {}
-    missing = {qid: RankedList(qid) for qid in qrels.sample_ids() if qid not in run}
-    for qid, ranked in {**run, **missing}.items():
+    missing = [qid for qid in qrels.sample_ids() if qid not in run]
+    for qid in [*run, *missing]:
+        ranked = run[qid] if qid in run else RankedList(qid)
         relevant = qrels.relevant_ids(qid)
         grades = qrels.for_sample(qid)
         ms = metric_set(ranked, relevant, grades)

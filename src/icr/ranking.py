@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -100,19 +100,56 @@ def write_run(lists: Iterable[RankedList], path: str, tag: str = "ICR") -> int:
     return empty
 
 
-def read_run(path: str) -> dict[str, RankedList]:
-    """Read a TREC run file into per-query RankedLists, keyed by query id.
+class Run(Mapping[str, RankedList]):
+    """A read-only TREC run held as columns, keyed by query id.
+
+    Passage ids and scores are stored in (query, rank, file line) order, with
+    one row range per query; ``run[qid]`` builds that query's RankedList on
+    demand, so a caller that walks the queries holds one list at a time.
+    Membership, iteration and length never build a list.
+    """
+
+    def __init__(self, pids: list[str], scores: np.ndarray, spans: dict[str, tuple[int, int]]):
+        self._pids = pids
+        self._scores = scores
+        self._spans = spans
+
+    def __getitem__(self, qid: str) -> RankedList:
+        start, stop = self._spans[qid]
+        return RankedList(qid, list(zip(self._pids[start:stop], self._scores[start:stop].tolist())))
+
+    def __contains__(self, qid: object) -> bool:
+        return qid in self._spans
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._spans)
+
+    def __len__(self) -> int:
+        return len(self._spans)
+
+
+_INT64 = range(-(2**63), 2**63)
+
+
+def read_run(path: str) -> Run:
+    """Read a TREC run file into a Run of per-query RankedLists.
 
     Entries follow the file's rank column (file order among equal ranks);
     queries keep first-seen order. A docid repeated within one query is a
     MalformedRecord, since a ranked list holds each passage once, and so is
-    a non-finite score, which no ranking can order.
+    a non-finite score, which no ranking can order, or a rank outside int64.
     """
-    per_query: dict[str, list[tuple[int, int, str, float]]] = {}
+    codes: dict[str, int] = {}
+    qcodes: list[int] = []
+    ranks: list[int] = []
+    pids: list[str] = []
+    scores: list[float] = []
+    blank_lines: list[int] = []
     with _open_text(path) as fh:
         for line_no, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:
+                blank_lines.append(line_no)
                 continue
             if len(parts) != 6:
                 raise MalformedRecord(path, line_no, "expected 6 columns: qid Q0 docid rank score tag")
@@ -124,19 +161,46 @@ def read_run(path: str) -> dict[str, RankedList]:
                 raise MalformedRecord(path, line_no, f"bad rank/score: {e}") from e
             if not isfinite(score):
                 raise MalformedRecord(path, line_no, f"score {score_s!r} is not finite")
-            per_query.setdefault(qid, []).append((rank, line_no, pid, score))
-    out: dict[str, RankedList] = {}
-    for qid, rows in per_query.items():
-        rows.sort()
-        if len({pid for _, _, pid, _ in rows}) != len(rows):
-            _raise_repeat(path, qid, rows)
-        out[qid] = RankedList(qid, [(pid, score) for _, _, pid, score in rows])
-    return out
+            if rank not in _INT64:
+                raise MalformedRecord(path, line_no, f"rank {rank_s!r} is outside int64")
+            qcodes.append(codes.setdefault(qid, len(codes)))
+            ranks.append(rank)
+            pids.append(pid)
+            scores.append(score)
+    # each per-line list is dropped once its column is built, so the peak
+    # holds few of them at once
+    qcode = np.array(qcodes, dtype=np.int64)
+    del qcodes
+    # stable, so equal ranks keep file order
+    order = np.lexsort((np.array(ranks, dtype=np.int64), qcode))
+    del ranks
+    score = np.array(scores, dtype=np.float64)[order]
+    del scores
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(qcode, minlength=len(codes))))).tolist()
+    ordered = [pids[row] for row in order.tolist()]
+    spans = {}
+    for qid, code in codes.items():
+        start, stop = bounds[code], bounds[code + 1]
+        if len(set(ordered[start:stop])) != stop - start:
+            _raise_repeat(path, qid, pids, np.sort(order[start:stop]).tolist(), blank_lines)
+        spans[qid] = (start, stop)
+    return Run(ordered, score, spans)
 
 
-def _raise_repeat(path: str, qid: str, rows: list[tuple[int, int, str, float]]) -> None:
+def _raise_repeat(path: str, qid: str, pids: list[str], rows: list[int], blank_lines: list[int]) -> None:
+    """Name the first of a query's ``rows`` (ascending) whose passage id an
+    earlier row holds."""
     seen: set[str] = set()
-    for _, line_no, pid, _ in sorted(rows, key=lambda r: r[1]):
-        if pid in seen:
-            raise MalformedRecord(path, line_no, f"docid {pid!r} repeats in query {qid!r}")
-        seen.add(pid)
+    for row in rows:
+        if pids[row] in seen:
+            raise MalformedRecord(path, _line_of(row, blank_lines), f"docid {pids[row]!r} repeats in query {qid!r}")
+        seen.add(pids[row])
+
+
+def _line_of(row: int, blank_lines: list[int]) -> int:
+    """The 1-based line number of the ``row``-th (0-based) non-blank line."""
+    line_no = row + 1
+    for blank in blank_lines:
+        if blank <= line_no:
+            line_no += 1
+    return line_no

@@ -13,6 +13,9 @@ from collections import Counter
 
 import numpy as np
 
+from icr.corpus import _open_text
+from icr.errors import MalformedRecord
+from icr.ranking import RankedList
 from icr.sparse_index import tokenize
 
 
@@ -153,4 +156,37 @@ def oracle_hash_embedding(texts: list[str], dim: int) -> np.ndarray:
         norm = float(np.linalg.norm(v))
         if norm > 0.0:
             v /= norm
+    return out
+
+
+def oracle_read_run(path: str) -> dict[str, RankedList]:
+    """A TREC run read one row tuple at a time: each query's rows sorted by
+    (rank, line number), queries in first-seen order. A repeated docid is
+    named at its first repeat in file order, in the first such query."""
+    per_query: dict[str, list[tuple[int, int, str, float]]] = {}
+    with _open_text(path) as fh:
+        for line_no, line in enumerate(fh, 1):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != 6:
+                raise MalformedRecord(path, line_no, "expected 6 columns: qid Q0 docid rank score tag")
+            qid, _, pid, rank_s, score_s, _ = parts
+            try:
+                rank = int(rank_s)
+                score = float(score_s)
+            except ValueError as e:
+                raise MalformedRecord(path, line_no, f"bad rank/score: {e}") from e
+            if not math.isfinite(score):
+                raise MalformedRecord(path, line_no, f"score {score_s!r} is not finite")
+            per_query.setdefault(qid, []).append((rank, line_no, pid, score))
+    out: dict[str, RankedList] = {}
+    for qid, rows in per_query.items():
+        rows.sort()
+        seen: set[str] = set()
+        for _, line_no, pid, _ in sorted(rows, key=lambda r: r[1]):
+            if pid in seen:
+                raise MalformedRecord(path, line_no, f"docid {pid!r} repeats in query {qid!r}")
+            seen.add(pid)
+        out[qid] = RankedList(qid, [(pid, score) for _, _, pid, score in rows])
     return out

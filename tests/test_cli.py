@@ -184,6 +184,22 @@ def test_infer_both_report_writes_two_runs(ws, capsys):
     capsys.readouterr()
 
 
+def test_fusing_per_iteration_runs_reproduces_final_only_infer(ws, capsys):
+    # s2 and s3 rewrite fewer times than s1, so the last iteration file holds
+    # only s1; each query's final list is in an earlier file
+    config = Path(ws["config"])
+    config.write_text(config.read_text().replace("fusion.mode = prrf", "fusion.mode = final_only"))
+    sparse, _ = _build_indexes(ws)
+    run, iters, fused = (str(ws["out"] / name) for name in ("run.trec", "iters", "fused.trec"))
+    assert main(["infer", "--dataset", ws["dataset"], "--sparse-index", sparse, "--mock-script", ws["script"],
+                 "--out", run, "--per-query-dir", iters, "--config", ws["config"], "--seed", "0"]) == 0
+    assert {line.split()[0] for line in Path(run).read_text().splitlines()} == {"s1", "s2", "s3"}
+    iter_files = sorted(str(p) for p in Path(iters).glob("iter_*.trec"))
+    assert main(["fuse", *iter_files, "--out", fused, "--config", ws["config"]]) == 0
+    assert Path(fused).read_bytes() == Path(run).read_bytes()
+    capsys.readouterr()
+
+
 def _crdg_output(ws) -> str:
     sparse, dense = _build_indexes(ws)
     dcr = str(ws["out"] / "dcr.jsonl")

@@ -30,6 +30,8 @@ def ws(tmp_path_factory):
     write_collection(passages, paths["jsonl-collection"])
     paths["sparse"], paths["dense"] = str(root / "sparse.idx.gz"), str(root / "dense.idx")
     paths["crdg"], paths["run"] = str(root / "dcr.jsonl"), str(root / "run.trec")
+    iters = root / "iters"
+    paths["iter1"], paths["iter2"] = str(iters / "iter_01.trec"), str(iters / "iter_02.trec")
     common = ["--config", paths["config"]]
     gen = ["--dataset", paths["dataset"], "--sparse-index", paths["sparse"], "--dense-index", paths["dense"],
            "--mock-script", paths["script"], *common]
@@ -37,7 +39,7 @@ def ws(tmp_path_factory):
         ["build-index", "--collection", paths["collection"], "--out", paths["sparse"], *common],
         ["embed-index", "--collection", paths["collection"], "--out", paths["dense"], *common],
         ["crdg", *gen, "--out", paths["crdg"]],
-        ["infer", *gen, "--out", paths["run"]],
+        ["infer", *gen, "--out", paths["run"], "--per-query-dir", str(iters)],
     ):
         assert main(argv) == 0
     return paths
@@ -53,6 +55,7 @@ CASES = {
         "--mock-script", ws["script"], "--config", ws["config"], "--out", out]),
     "qrels": ("qrels", lambda ws, p, out: ["evaluate", "--run", ws["run"], "--qrels", p, "--out", out]),
     "run": ("run", lambda ws, p, out: ["evaluate", "--run", p, "--qrels", ws["qrels"], "--out", out]),
+    "fuse": ("iter1", lambda ws, p, out: ["fuse", p, ws["iter2"], "--config", ws["config"], "--out", out]),
     "crdg-output": ("crdg", lambda ws, p, out: ["analyze", "--crdg", p, "--out", out]),
     "crdg-resumed": ("crdg", lambda ws, p, out: [
         "crdg", "--dataset", ws["dataset"], "--sparse-index", ws["sparse"], "--dense-index", ws["dense"],
@@ -86,5 +89,43 @@ def test_a_spoiled_input_is_read_or_rejected_never_a_crash(ws, tmp_path_factory,
         path = work / Path(ws[key]).name
         path.write_bytes(drawn.draw(spoiled(data)))
         assert main(argv(ws, str(path), str(work / "out"))) in (0, 2)
+
+    check()
+
+
+@st.composite
+def spoiled_run(draw, data: bytes) -> tuple[bytes, int]:
+    """A valid run with one line spoiled: a column dropped, a non-finite
+    score, or the docid of an earlier line of the same query. Returns the
+    bytes and the number of the line that must be named."""
+    lines = [line.split() for line in data.decode("utf-8").splitlines()]
+    spoiler = draw(st.sampled_from(["column", "score", "repeat"]))
+    if spoiler == "repeat":
+        pairs = [(i, j) for j in range(len(lines)) for i in range(j) if lines[i][0] == lines[j][0]]
+        first, at = draw(st.sampled_from(pairs))
+        lines[at][2] = lines[first][2]
+    else:
+        at = draw(st.integers(0, len(lines) - 1))
+        if spoiler == "column":
+            del lines[at][draw(st.integers(0, 5))]
+        else:
+            lines[at][4] = draw(st.sampled_from(["nan", "-inf", "Infinity", "1e999"]))
+    return "".join(" ".join(parts) + "\n" for parts in lines).encode("utf-8"), at + 1
+
+
+@pytest.mark.parametrize("case", ["run", "fuse"])
+def test_a_spoiled_run_line_is_a_data_error_naming_it(ws, tmp_path_factory, capsys, case):
+    key, argv = CASES[case]
+    data = Path(ws[key]).read_bytes()
+
+    @hypothesis.settings(max_examples=15, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(drawn):
+        spoiled_bytes, line_no = drawn.draw(spoiled_run(data))
+        work = tmp_path_factory.mktemp(case)
+        path = work / Path(ws[key]).name
+        path.write_bytes(spoiled_bytes)
+        assert main(argv(ws, str(path), str(work / "out"))) == 2
+        assert f"{path}:{line_no}: " in capsys.readouterr().err
 
     check()

@@ -1,0 +1,82 @@
+"""Property: the column-backed run reader reads what the row-tuple oracle
+reads, or rejects the same line for the same reason."""
+
+from __future__ import annotations
+
+import pytest
+
+from icr.errors import MalformedRecord
+from icr.ranking import read_run
+
+from .oracles import oracle_read_run
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+QIDS = ["q1", "q2", "é3", "問4"]
+PIDS = ["d1", "d2", "d3", "d10", "d11", "ü", "日本", "p-7", "a", "b"]
+# whitespace that str.split() splits on; only "\n" and "\r\n" end a line
+SEPARATORS = [" ", "  ", "\t", "　", "\x1c"]
+SCORES = ["1.0", "2.5", "-0.0", "0", "3e-3", "7"]
+BAD_SCORES = ["nan", "inf", "-Infinity", "1e999"]
+RANKS = ["1", "2", "3", "10", "0", "-1", "+2", "1_0"]
+BAD_RANKS = ["1.5", "x", "1e3"]
+BLANKS = ["", "  ", "\t", "　"]
+
+
+@st.composite
+def run_files(draw) -> bytes:
+    """Run lines with tied and out-of-order ranks, queries split over
+    blocks, blank lines, mixed whitespace and line ends, and now and then a
+    dropped or extra column, a bad rank, a non-finite score or a docid
+    repeated within a query or across two."""
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(QIDS), st.sampled_from(PIDS), st.sampled_from(RANKS), st.sampled_from(SCORES)),
+        max_size=14,
+    ))
+    lines = []
+    for qid, pid, rank, score in rows:
+        columns = [qid, "Q0", pid, rank, score, "T"]
+        spoil = draw(st.integers(0, 39))
+        if spoil == 0:
+            del columns[draw(st.integers(0, 5))]
+        elif spoil == 1:
+            columns.append("extra")
+        elif spoil == 2:
+            columns[3] = draw(st.sampled_from(BAD_RANKS))
+        elif spoil == 3:
+            columns[4] = draw(st.sampled_from(BAD_SCORES))
+        seps = [draw(st.sampled_from(SEPARATORS)) for _ in columns]
+        lines.append("".join(c + sep for c, sep in zip(columns, seps)).rstrip(" "))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(BLANKS)))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines).encode("utf-8")
+
+
+def _read(reader, path: str):
+    try:
+        run = reader(path)
+    except MalformedRecord as e:
+        return ("rejected", e.line_no, e.reason)
+    return [(qid, run[qid].query_tag, [(pid, score.hex()) for pid, score in run[qid].entries]) for qid in run]
+
+
+def test_read_run_matches_the_row_tuple_oracle(tmp_path_factory):
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(run_files())
+    def check(data):
+        path = tmp_path_factory.mktemp("run") / "run.trec"
+        path.write_bytes(data)
+        assert _read(read_run, str(path)) == _read(oracle_read_run, str(path))
+
+    check()
+
+
+def test_run_membership_and_length_match_its_queries(tmp_path):
+    path = tmp_path / "run.trec"
+    path.write_text("q2 Q0 a 1 1.0 T\nq1 Q0 b 1 1.0 T\nq2 Q0 c 2 0.5 T\n")
+    run = read_run(str(path))
+    assert list(run) == ["q2", "q1"] and len(run) == 2
+    assert "q1" in run and "q3" not in run
+    assert run.get("q3") is None
+    assert run["q2"].entries == [("a", 1.0), ("c", 0.5)]
