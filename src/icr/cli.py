@@ -92,12 +92,11 @@ def _dataset(args, config: Config):
     return path, load_cqr_dataset(path)
 
 
-def _write_report(report: dict, path: str) -> None:
-    """Write a JSON report to ``path`` and print it."""
-    text = json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True)
+def _write_report(kind: str, report: dict, samples: int, path: str) -> None:
+    """Write a JSON report to ``path`` and print a one-line summary."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    print(text)
+        fh.write(json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {kind} report over {samples} samples -> {path}")
 
 
 # Each command returns the input and output paths that ``main`` records in
@@ -208,7 +207,7 @@ def cmd_evaluate(args, config: Config) -> tuple[list, list]:
     run = read_run(args.run)
     qrels = load_qrels(args.qrels)
     report = evaluate_run(run, qrels)
-    _write_report(report, args.out)
+    _write_report("evaluate", report, report["num_samples"], args.out)
     return [args.run, args.qrels], [args.out]
 
 
@@ -223,7 +222,7 @@ def cmd_analyze(args, config: Config) -> tuple[list, list]:
         "gsr": gsr(paths),
         "delta_f": {str(n): means for n, means in delta_f_profile(paths, lengths).items()},
     }
-    _write_report(report, args.out)
+    _write_report("analyze", report, len(paths), args.out)
     return [args.crdg], [args.out]
 
 
@@ -233,7 +232,7 @@ def cmd_latency(args, config: Config) -> tuple[list, list]:
     inference.step_wise = args.step_wise
     client = _make_client(args, config)
     report = measure_latency(samples, client, inference)
-    _write_report(report, args.out)
+    _write_report("latency", report, len(samples), args.out)
     return [dataset_path], [args.out]
 
 
@@ -321,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a TREC run against qrels")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--out", required=True, help="JSON report path (also printed)")
+    p.add_argument("--out", required=True, help="JSON report path")
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 

@@ -7,6 +7,8 @@ ascending, no duplicate ids, truncated to the requested depth.
 
 from __future__ import annotations
 
+import warnings
+from array import array
 from dataclasses import dataclass, field
 from math import isfinite
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -130,6 +132,11 @@ class Run(Mapping[str, RankedList]):
 
 _INT64 = range(-(2**63), 2**63)
 
+#: Characters read at once: 2,048 lines of 32. numpy parses each chunk into
+#: a row array of (lines x longest line) characters per id column, so a chunk
+#: over four times this size (a very long line) takes the per-line rules.
+_CHUNK_CHARS = 1 << 16
+
 
 def read_run(path: str) -> Run:
     """Read a TREC run file into a Run of per-query RankedLists.
@@ -140,54 +147,120 @@ def read_run(path: str) -> Run:
     a non-finite score, which no ranking can order, or a rank outside int64.
     """
     codes: dict[str, int] = {}
-    qcodes: list[int] = []
-    ranks: list[int] = []
+    block_codes: list[int] = []  # one per run of lines with equal qids
+    block_sizes: list[int] = []
+    ranks = array("q")
+    scores = array("d")
     pids: list[str] = []
-    scores: list[float] = []
     blank_lines: list[int] = []
-    with _open_text(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                blank_lines.append(line_no)
-                continue
-            if len(parts) != 6:
-                raise MalformedRecord(path, line_no, "expected 6 columns: qid Q0 docid rank score tag")
-            qid, _, pid, rank_s, score_s, _ = parts
-            try:
-                rank = int(rank_s)
-                score = float(score_s)
-            except ValueError as e:
-                raise MalformedRecord(path, line_no, f"bad rank/score: {e}") from e
-            if not isfinite(score):
-                raise MalformedRecord(path, line_no, f"score {score_s!r} is not finite")
-            if rank not in _INT64:
-                raise MalformedRecord(path, line_no, f"rank {rank_s!r} is outside int64")
-            qcodes.append(codes.setdefault(qid, len(codes)))
-            ranks.append(rank)
-            pids.append(pid)
-            scores.append(score)
-    # each per-line list is dropped once its column is built, so the peak
-    # holds few of them at once
-    qcode = np.array(qcodes, dtype=np.int64)
-    del qcodes
-    # stable, so equal ranks keep file order
-    order = np.lexsort((np.array(ranks, dtype=np.int64), qcode))
-    del ranks
-    score = np.array(scores, dtype=np.float64)[order]
-    del scores
+    line_no = 0
+    # numpy 1.x reads a rank such as 1.5 via float with only a warning, and
+    # numpy warns on a chunk of blank lines: as errors, both take the
+    # per-line rules
+    with _open_text(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        while lines := fh.readlines(_CHUNK_CHARS):
+            qids, sizes, chunk_pids, rank, score = _parse_chunk(path, lines, line_no, blank_lines)
+            line_no += len(lines)
+            block_codes += [codes.setdefault(qid, len(codes)) for qid in qids]
+            block_sizes += sizes
+            ranks.frombytes(rank)
+            scores.frombytes(score)
+            pids += chunk_pids
+    qcode = np.repeat(np.array(block_codes, dtype=np.int64), block_sizes)
+    # each view holds its array, so deleting the view frees the column
+    rank = np.frombuffer(ranks, dtype=np.int64)
+    score = np.frombuffer(scores, dtype=np.float64)
+    del ranks, scores
+    order = None
+    q, r = qcode[:-1], rank[:-1]
+    if not ((qcode[1:] > q) | ((qcode[1:] == q) & (rank[1:] >= r))).all():
+        # stable, so equal ranks keep file order
+        order = np.lexsort((rank, qcode))
+        score = score[order]
+    del q, r, rank
     bounds = np.concatenate(([0], np.cumsum(np.bincount(qcode, minlength=len(codes))))).tolist()
-    ordered = [pids[row] for row in order.tolist()]
+    ordered = pids if order is None else [pids[row] for row in order.tolist()]
     spans = {}
     for qid, code in codes.items():
         start, stop = bounds[code], bounds[code + 1]
         if len(set(ordered[start:stop])) != stop - start:
-            _raise_repeat(path, qid, pids, np.sort(order[start:stop]).tolist(), blank_lines)
+            rows = range(start, stop) if order is None else np.sort(order[start:stop]).tolist()
+            _raise_repeat(path, qid, pids, rows, blank_lines)
         spans[qid] = (start, stop)
     return Run(ordered, score, spans)
 
 
-def _raise_repeat(path: str, qid: str, pids: list[str], rows: list[int], blank_lines: list[int]) -> None:
+def _parse_chunk(
+    path: str, lines: list[str], line_no: int, blank_lines: list[int]
+) -> tuple[list[str], list[int], list[str], bytes, bytes]:
+    """One chunk of run lines, the first of which is line ``line_no + 1``, as
+    (qid and size of each block of equal qids, passage ids, ranks, scores);
+    appends the numbers of its blank lines to ``blank_lines``.
+
+    numpy's C reader splits on the same whitespace as ``str.split`` and
+    accepts a subset of the numbers ``int`` and ``float`` accept, with equal
+    values. A chunk it rejects, or whose scores are not all finite, takes
+    the per-line rules, which name the first bad line or read Python-only
+    spellings such as ``1_0``. So does a chunk holding a NUL, which numpy's
+    strings drop from the end of an id, or one too wide to parse at once.
+    """
+    width = max(map(len, lines))
+    if len(lines) * width <= 4 * _CHUNK_CHARS and "\x00" not in "".join(lines):
+        columns = [
+            ("qid", f"U{width}"), ("q0", "U1"), ("pid", f"U{width}"), ("rank", "i8"), ("score", "f8"), ("tag", "U1"),
+        ]
+        try:
+            rows = np.loadtxt(lines, dtype=columns, comments=None, ndmin=1)
+        except (ValueError, Warning):
+            rows = None
+        if rows is not None and np.isfinite(rows["score"]).all():
+            if len(rows) != len(lines):
+                blank_lines += [n for n, line in enumerate(lines, line_no + 1) if not line.split()]
+            qids = rows["qid"]
+            starts = np.flatnonzero(np.concatenate(([True], qids[1:] != qids[:-1])))
+            # copies, so no field view keeps the whole row array alive
+            return (
+                qids[starts].tolist(), np.diff(starts, append=len(rows)).tolist(),
+                rows["pid"].tolist(), rows["rank"].tobytes(), rows["score"].tobytes(),
+            )
+    return _parse_lines(path, lines, line_no, blank_lines)
+
+
+def _parse_lines(
+    path: str, lines: list[str], line_no: int, blank_lines: list[int]
+) -> tuple[list[str], list[int], list[str], bytes, bytes]:
+    """``_parse_chunk`` one line at a time, under Python's own rules, with a
+    block per line."""
+    qids: list[str] = []
+    pids: list[str] = []
+    ranks: list[int] = []
+    scores: list[float] = []
+    for line_no, line in enumerate(lines, line_no + 1):
+        parts = line.split()
+        if not parts:
+            blank_lines.append(line_no)
+            continue
+        if len(parts) != 6:
+            raise MalformedRecord(path, line_no, "expected 6 columns: qid Q0 docid rank score tag")
+        qid, _, pid, rank_s, score_s, _ = parts
+        try:
+            rank = int(rank_s)
+            score = float(score_s)
+        except ValueError as e:
+            raise MalformedRecord(path, line_no, f"bad rank/score: {e}") from e
+        if not isfinite(score):
+            raise MalformedRecord(path, line_no, f"score {score_s!r} is not finite")
+        if rank not in _INT64:
+            raise MalformedRecord(path, line_no, f"rank {rank_s!r} is outside int64")
+        qids.append(qid)
+        pids.append(pid)
+        ranks.append(rank)
+        scores.append(score)
+    return qids, [1] * len(qids), pids, array("q", ranks).tobytes(), array("d", scores).tobytes()
+
+
+def _raise_repeat(path: str, qid: str, pids: list[str], rows: Iterable[int], blank_lines: list[int]) -> None:
     """Name the first of a query's ``rows`` (ascending) whose passage id an
     earlier row holds."""
     seen: set[str] = set()

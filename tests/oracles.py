@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import zlib
 from collections import Counter
+from typing import Mapping
 
 import numpy as np
 
@@ -190,3 +191,43 @@ def oracle_read_run(path: str) -> dict[str, RankedList]:
             seen.add(pid)
         out[qid] = RankedList(qid, [(pid, score) for _, _, pid, score in rows])
     return out
+
+
+def oracle_evaluate(run: Mapping[str, RankedList], qrels_path: str) -> dict:
+    """``evaluate_run``'s report, from the definitions: every query in the
+    run or the qrels is scored (``trec_eval -c``), a judged query absent
+    from the run scores as an empty list and counts in ``missing_from_run``,
+    and a query with no grade >= 1 is degenerate. The qrels file is read one
+    line at a time, a later grade for a (query, passage) replacing an
+    earlier one."""
+    grades: dict[str, dict[str, int]] = {}
+    with open(qrels_path, encoding="utf-8") as fh:
+        for line in fh:
+            parts = line.split()
+            if parts:
+                qid, _, pid, grade = parts
+                grades.setdefault(qid, {})[pid] = int(grade)
+    missing = [qid for qid in grades if qid not in run]
+    per_sample = {}
+    for qid in [*run, *missing]:
+        ids = [pid for pid, _ in run[qid].entries] if qid in run else []
+        judged = grades.get(qid, {})
+        relevant = {pid for pid, grade in judged.items() if grade >= 1}
+        per_sample[qid] = {
+            "mrr": oracle_mrr(ids, relevant),
+            "ndcg3": oracle_ndcg3(ids, judged),
+            "recall10": oracle_recall(ids, relevant, 10),
+            "recall100": oracle_recall(ids, relevant, 100),
+            "degenerate": not relevant,
+        }
+    n = len(per_sample)
+    return {
+        "num_samples": n,
+        "missing_from_run": len(missing),
+        "degenerate_count": sum(s["degenerate"] for s in per_sample.values()),
+        "aggregate": {
+            metric: math.fsum(s[metric] for s in per_sample.values()) / n if n else 0.0
+            for metric in ("mrr", "ndcg3", "recall10", "recall100")
+        },
+        "per_sample": per_sample,
+    }

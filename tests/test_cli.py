@@ -8,7 +8,10 @@ import pytest
 from icr.cli import main
 from icr.corpus import write_collection
 from icr.errors import ProviderUnavailable
+from icr.fusion import FusionConfig
 from icr.manifest import load_manifest, verify_outputs
+from icr.pipeline import InferenceConfig, InferenceResult, emit_per_query_runs, emit_run, retrieve_and_fuse
+from icr.ranking import RankedList
 
 from .conftest import build_cli_workspace, make_tier_corpus
 
@@ -197,6 +200,44 @@ def test_fusing_per_iteration_runs_reproduces_final_only_infer(ws, capsys):
     iter_files = sorted(str(p) for p in Path(iters).glob("iter_*.trec"))
     assert main(["fuse", *iter_files, "--out", fused, "--config", ws["config"]]) == 0
     assert Path(fused).read_bytes() == Path(run).read_bytes()
+    capsys.readouterr()
+
+
+def test_evaluate_and_analyze_print_one_line_and_write_the_report(ws, capsys):
+    sparse, _ = _build_indexes(ws)
+    dcr = _crdg_output(ws)
+    run = str(ws["out"] / "run.trec")
+    assert main(["infer", "--dataset", ws["dataset"], "--sparse-index", sparse, "--mock-script", ws["script"],
+                 "--out", run, "--config", ws["config"], "--seed", "0"]) == 0
+    capsys.readouterr()
+    report_path, analysis_path = str(ws["out"] / "eval.json"), str(ws["out"] / "analysis.json")
+    assert main(["evaluate", "--run", run, "--qrels", ws["qrels"], "--out", report_path]) == 0
+    assert capsys.readouterr().out == f"wrote evaluate report over 3 samples -> {report_path}\n"
+    assert main(["analyze", "--crdg", dcr, "--out", analysis_path]) == 0
+    assert capsys.readouterr().out == f"wrote analyze report over 2 samples -> {analysis_path}\n"
+    report = json.loads(Path(report_path).read_text())
+    assert set(report["per_sample"]) == {"s1", "s2", "s3"} and "aggregate" in report
+    analysis = json.loads(Path(analysis_path).read_text())
+    assert analysis["num_trajectories"] == 2 and {"lsr", "gsr", "delta_f"} <= set(analysis)
+
+
+def test_an_empty_last_iteration_is_not_in_the_per_query_files(tmp_path, capsys):
+    # a run file has no line for an empty list, so fuse cannot see that the
+    # last rewrite retrieved nothing: final_only takes the list before it
+    lists = {"a": RankedList("s", [("a", 1.0)]), "b": RankedList("s")}
+    config = InferenceConfig()
+    runs = {}
+    for mode in ("final_only", "prrf"):
+        config.fusion = FusionConfig(mode=mode)
+        per_query, fused, _ = retrieve_and_fuse(["a", "b"], lambda q, k, tag: lists[q], config, "s", "q")
+        result = InferenceResult("s", "", ["a", "b"], per_query, fused)
+        infer_run, fused_run = str(tmp_path / f"{mode}.trec"), str(tmp_path / f"{mode}.fused.trec")
+        emit_run([result], infer_run)
+        iter_files = emit_per_query_runs([result], str(tmp_path / mode))
+        assert main(["fuse", *iter_files, "--mode", mode, "--out", fused_run]) == 0
+        runs[mode] = Path(infer_run).read_text(), Path(fused_run).read_text()
+    assert runs["final_only"] == ("", "s Q0 a 1 1.0 ICR\n")
+    assert runs["prrf"][0] and runs["prrf"][1] == runs["prrf"][0]
     capsys.readouterr()
 
 

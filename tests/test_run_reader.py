@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from icr import ranking
 from icr.errors import MalformedRecord
 from icr.ranking import read_run
 
@@ -13,15 +14,20 @@ from .oracles import oracle_read_run
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-QIDS = ["q1", "q2", "é3", "問4"]
-PIDS = ["d1", "d2", "d3", "d10", "d11", "ü", "日本", "p-7", "a", "b"]
+# numpy's strings drop a trailing NUL, so ids holding one must read as Python reads them
+QIDS = ["q1", "q2", "é3", "問4", "n\x00", "n\x00ul"]
+PIDS = ["d1", "d2", "d3", "d10", "d11", "ü", "日本", "p-7", "a", "b", "d\x00", "d\x00x"]
 # whitespace that str.split() splits on; only "\n" and "\r\n" end a line
-SEPARATORS = [" ", "  ", "\t", "　", "\x1c"]
-SCORES = ["1.0", "2.5", "-0.0", "0", "3e-3", "7"]
+SEPARATORS = [
+    " ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+    "\u2000", "\u2028", "\u2029", "\u3000",
+]
+# Python-only spellings (1_0, Arabic-Indic digits) that numpy's reader rejects
+SCORES = ["1.0", "2.5", "-0.0", "0", "3e-3", "7", "1_0.5", "١.٥"]
 BAD_SCORES = ["nan", "inf", "-Infinity", "1e999"]
-RANKS = ["1", "2", "3", "10", "0", "-1", "+2", "1_0"]
+RANKS = ["1", "2", "3", "10", "0", "-1", "+2", "1_0", "١"]
 BAD_RANKS = ["1.5", "x", "1e3"]
-BLANKS = ["", "  ", "\t", "　"]
+BLANKS = ["", "  ", "\t", "　", "\x0b", "\u2028"]
 
 
 @st.composite
@@ -32,7 +38,7 @@ def run_files(draw) -> bytes:
     repeated within a query or across two."""
     rows = draw(st.lists(
         st.tuples(st.sampled_from(QIDS), st.sampled_from(PIDS), st.sampled_from(RANKS), st.sampled_from(SCORES)),
-        max_size=14,
+        max_size=20,
     ))
     lines = []
     for qid, pid, rank, score in rows:
@@ -70,6 +76,60 @@ def test_read_run_matches_the_row_tuple_oracle(tmp_path_factory):
         assert _read(read_run, str(path)) == _read(oracle_read_run, str(path))
 
     check()
+
+
+# readlines() reads past this many characters, so a chunk holds about three
+# of the generated lines, and chunk edges fall on blank, bad and repeated lines
+SMALL_CHUNK = 40
+
+
+def test_read_run_matches_the_oracle_over_many_chunks(tmp_path_factory, monkeypatch):
+    monkeypatch.setattr(ranking, "_CHUNK_CHARS", SMALL_CHUNK)
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(run_files())
+    def check(data):
+        path = tmp_path_factory.mktemp("run") / "run.trec"
+        path.write_bytes(data)
+        assert _read(read_run, str(path)) == _read(oracle_read_run, str(path))
+
+    check()
+
+
+@pytest.mark.parametrize("first, later", [
+    ("q1 Q0 x 1 nan T", "q1 Q0 y 2 1.0"),  # non-finite score, then a dropped column
+    ("q1 Q0 x 1.5 1.0 T", "q1 Q0 y 2 inf T"),  # a rank numpy reads via float
+    ("q1 Q0 x 1 1.0 T extra", "q1 Q0 y 1_x 1.0 T"),
+])
+def test_the_first_of_two_bad_lines_in_different_chunks_is_named(tmp_path, monkeypatch, first, later):
+    monkeypatch.setattr(ranking, "_CHUNK_CHARS", SMALL_CHUNK)
+    lines = [f"q1 Q0 d{i} {i} 1.0 T" for i in range(1, 13)]
+    lines[4], lines[10] = first, later
+    path = tmp_path / "run.trec"
+    path.write_text("\n".join(lines) + "\n")
+    want = _read(oracle_read_run, str(path))
+    assert want[:2] == ("rejected", 5)
+    assert _read(read_run, str(path)) == want
+
+
+def test_a_repeat_after_blank_lines_on_chunk_edges_names_its_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(ranking, "_CHUNK_CHARS", SMALL_CHUNK)
+    path = tmp_path / "run.trec"
+    path.write_text("q1 Q0 a 1 1.0 T\nq1 Q0 b 2 1.0 T\n\n\n\nq2 Q0 a 1 1.0 T\n\nq1 Q0 c 3 1.0 T\n\nq1 Q0 a 4 1.0 T\n")
+    with pytest.raises(MalformedRecord) as err:
+        read_run(str(path))
+    assert (err.value.line_no, err.value.reason) == (10, "docid 'a' repeats in query 'q1'")
+
+
+def test_clean_chunks_never_take_the_per_line_rules(tmp_path, monkeypatch):
+    def per_line(*args):
+        raise AssertionError("a clean chunk took the per-line rules")
+
+    monkeypatch.setattr(ranking, "_CHUNK_CHARS", SMALL_CHUNK)
+    monkeypatch.setattr(ranking, "_parse_lines", per_line)
+    path = tmp_path / "run.trec"
+    path.write_text("\n\n".join(f"q{i % 3}\tQ0  d{i} {i} {i / 7!r} T" for i in range(30)) + "\n")
+    assert _read(read_run, str(path)) == _read(oracle_read_run, str(path))
 
 
 def test_run_membership_and_length_match_its_queries(tmp_path):
