@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: build-index, embed-index, crdg, prefdata, sftdata, infer,
-fuse, evaluate, analyze, latency. Every stochastic command takes --seed,
-every command takes --config (strict key-value file), and every invocation
-writes a run manifest at ``<--out>.manifest.json``.
+fuse, evaluate, analyze, latency, verify. Every stochastic command takes
+--seed. Every command but verify takes --config (strict key-value file)
+and writes a run manifest at ``<--out>.manifest.json``; verify re-hashes
+the files such a manifest lists.
 
 Exit codes: 0 ok, 1 usage error, 2 data error, 3 provider error.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import crdg as crdg_mod
@@ -30,7 +32,7 @@ from .errors import DataError, MissingRequired, ProviderError
 from .evaluation import MODE_RETRIEVERS, delta_f_profile, evaluate_run, gsr, lsr
 from .fusion import FusionConfig, fuse
 from .genclient import RemoteChatClient, ScriptedMock
-from .manifest import RunManifest
+from .manifest import RunManifest, load_manifest, verify_outputs
 from .pipeline import RETRIEVER_CHOICES, emit_per_query_runs, emit_run, measure_latency, run_batch
 from .ranking import RankedList, read_run, write_run
 from .sparse_index import build_sparse_index, load_sparse_index, save_sparse_index
@@ -236,6 +238,21 @@ def cmd_latency(args, config: Config) -> tuple[list, list]:
     return [dataset_path], [args.out]
 
 
+def cmd_verify(args, config: Config) -> tuple[list, list]:
+    manifest = load_manifest(args.manifest)
+    checked = bad = 0
+    for section in ("inputs", "outputs"):
+        for path, ok in verify_outputs(manifest, section).items():
+            checked += 1
+            if not ok:
+                bad += 1
+                print(f"{'changed' if os.path.exists(path) else 'missing'}: {path}")
+    if bad:
+        raise DataError(f"{args.manifest}: {bad} of {checked} files differ from their recorded digests")
+    print(f"verified {checked} files -> {args.manifest}")
+    return [args.manifest], []
+
+
 def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
     p.add_argument("--config", help="key-value config file")
     if seed:
@@ -254,7 +271,8 @@ def _add_index_args(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="icr", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.set_defaults(seed=None)  # commands without --seed record none
+    # commands without --seed record none; verify, without --out, writes no manifest
+    parser.set_defaults(seed=None, config=None, out=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-index", help="build a BM25 index over a passage collection")
@@ -339,11 +357,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_latency)
 
+    p = sub.add_parser("verify", help="re-hash every input and output a run manifest lists")
+    p.add_argument("manifest", help="a <output>.manifest.json file")
+    p.set_defaults(func=cmd_verify)
+
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command and write its manifest at ``<--out>.manifest.json``."""
+    """Run one command and write its manifest at ``<--out>.manifest.json``
+    (``verify`` has no ``--out`` and writes none)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -354,7 +377,8 @@ def main(argv: list[str] | None = None) -> int:
             manifest.add_input(path)
         for path in outputs:
             manifest.add_output(path)
-        manifest.write(args.out.rstrip("/") + ".manifest.json")
+        if args.out is not None:
+            manifest.write(args.out.rstrip("/") + ".manifest.json")
         return EXIT_OK
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterator, TextIO
 
 from .errors import DuplicateId, MalformedRecord, MissingField
 
@@ -156,7 +156,12 @@ def _collection_rows(path: str, fmt: str) -> Iterator[tuple[int, str, str]]:
         for line_no, obj in read_jsonl(path):
             if "id" not in obj or "text" not in obj:
                 raise MalformedRecord(path, line_no, "record needs id and text fields")
-            yield line_no, str(obj["id"]), str(obj["text"])
+            pid, text = obj["id"], obj["text"]
+            if isinstance(pid, bool) or not isinstance(pid, (str, int)):
+                raise MalformedRecord(path, line_no, "id must be a string or an integer")
+            if not isinstance(text, str):
+                raise MalformedRecord(path, line_no, "text must be a string")
+            yield line_no, str(pid), text
         return
     with _open_text(path) as fh:
         for line_no, line in enumerate(fh, 1):
@@ -172,33 +177,24 @@ def load_collection(path: str, format: str | None = None) -> Iterator[Passage]:
     """Stream passages from a TSV or JSONL collection file.
 
     Yields passages in file order. Memory use is bounded by one record plus
-    the set of ids seen so far (kept for duplicate detection).
+    the ids seen so far and their first lines (kept for duplicate detection).
 
     Raises:
-        MalformedRecord: unparseable line, or empty id.
-        DuplicateId: the same id appears twice.
+        MalformedRecord: unparseable line, empty id, a JSONL id that is not
+            a string or an integer, or a JSONL text that is not a string.
+        DuplicateId: the same id appears twice, naming both lines.
     """
     fmt = format or _infer_format(path)
     if fmt not in ("tsv", "jsonl"):
         raise ValueError(f"unknown collection format {fmt!r}")
-    seen: set[str] = set()
+    first_line: dict[str, int] = {}
     for line_no, pid, text in _collection_rows(path, fmt):
         if not pid:
             raise MalformedRecord(path, line_no, "empty passage id")
-        if pid in seen:
-            raise DuplicateId(pid)
-        seen.add(pid)
+        if pid in first_line:
+            raise DuplicateId(pid, path, line_no, first_line[pid])
+        first_line[pid] = line_no
         yield Passage(pid, text)
-
-
-def write_collection(passages: Iterable[Passage], path: str, format: str | None = None) -> None:
-    fmt = format or _infer_format(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in passages:
-            if fmt == "tsv":
-                fh.write(f"{p.id}\t{p.text}\n")
-            else:
-                fh.write(json.dumps({"id": p.id, "text": p.text}, ensure_ascii=False) + "\n")
 
 
 def _require(obj: dict, name: str, path: str, line_no: int):
@@ -248,18 +244,6 @@ def load_cqr_dataset(path: str) -> list[CQRSample]:
     return samples
 
 
-def write_cqr_dataset(samples: Sequence[CQRSample], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            rec = {
-                "sample_id": s.sample_id,
-                "history": [{"query": t.query, "answer": t.answer} for t in s.history],
-                "query": s.query,
-                "gold_passage_ids": sorted(s.gold_passage_ids),
-            }
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
-
-
 def load_qrels(path: str) -> Qrels:
     """Load TREC-format qrels (``qid 0 docid grade``, whitespace-separated).
 
@@ -283,9 +267,3 @@ def load_qrels(path: str) -> Qrels:
                 raise MalformedRecord(path, line_no, f"grade must be >= 0, got {grade}")
             qrels.set(sid, pid, grade)
     return qrels
-
-
-def write_qrels(qrels: Qrels, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for (sid, pid), grade in sorted(qrels.grades.items()):
-            fh.write(f"{sid} 0 {pid} {grade}\n")

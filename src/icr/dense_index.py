@@ -13,7 +13,7 @@ import json
 import os
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Protocol
 
 import numpy as np
@@ -28,14 +28,14 @@ from .errors import (
     ProviderUnavailable,
 )
 from .genclient import _Endpoint
-from .ranking import RankedList, id_ranks, top_k
+from .ranking import RankedList, id_ranks, stored_id_ranks, top_k
 from .sparse_index import tokenize
 
 if TYPE_CHECKING:
     import requests
 
 DENSE_FORMAT = "icr-dense-index"
-DENSE_VERSION = 1
+DENSE_VERSION = 2
 
 
 class EmbeddingProvider(Protocol):
@@ -131,15 +131,16 @@ def embed(provider: EmbeddingProvider, text: str, role: str | None = None) -> np
 
 @dataclass
 class DenseIndex:
-    vectors: np.ndarray  # doc_count x dim
+    vectors: np.ndarray  # doc_count x dim; read-only and file-backed when loaded
     ids: list[str]
     ordinals: dict[str, int]
     provider_name: str
     dim: int
-    id_rank: np.ndarray = field(init=False)  # ordinal -> rank of its id
+    id_rank: np.ndarray | None = None  # ordinal -> rank of its id; None computes it
 
     def __post_init__(self) -> None:
-        self.id_rank = id_ranks(self.ids)
+        if self.id_rank is None:
+            self.id_rank = id_ranks(self.ids)
 
     @property
     def doc_count(self) -> int:
@@ -200,7 +201,8 @@ def search_dense(
 
 
 def save_dense_index(index: DenseIndex, path: str) -> None:
-    """Persist as a directory: meta.json (version header) + vectors.npy."""
+    """Persist as a directory: meta.json (version header), vectors.npy and
+    id_rank.npy (the id ranks, narrowed, so a load does not sort the ids)."""
     os.makedirs(path, exist_ok=True)
     meta = {
         "format": DENSE_FORMAT,
@@ -211,17 +213,42 @@ def save_dense_index(index: DenseIndex, path: str) -> None:
     }
     with open(os.path.join(path, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-    with open(os.path.join(path, "vectors.npy"), "wb") as fh:
+    with open(os.path.join(path, "id_rank.npy"), "wb") as fh:
+        np.save(fh, index.id_rank.astype(np.min_scalar_type(index.doc_count)))
+    # written beside and renamed over, so a process that has the old file
+    # mapped keeps reading it instead of faulting on a truncated map
+    vectors = os.path.join(path, "vectors.npy")
+    with open(vectors + ".tmp", "wb") as fh:
         np.save(fh, index.vectors)
+    os.replace(vectors + ".tmp", vectors)
 
 
 def load_dense_index(path: str) -> DenseIndex:
+    """Load an index written by ``save_dense_index`` (version 2 only); the
+    vectors are memory-mapped, not read."""
     with open(os.path.join(path, "meta.json"), encoding="utf-8") as fh:
         meta = json.load(fh)
     if meta.get("format") != DENSE_FORMAT:
         raise DataError(f"{path}: not a dense index artifact")
     if meta.get("version") != DENSE_VERSION:
-        raise DataError(f"{path}: unsupported index version {meta.get('version')}")
-    vectors = np.load(os.path.join(path, "vectors.npy"))
+        raise DataError(
+            f"{path}: unsupported dense index version {meta.get('version')}; "
+            f"re-run embed-index to write version {DENSE_VERSION}"
+        )
     ids = [str(i) for i in meta["ids"]]
-    return DenseIndex(vectors, ids, {pid: i for i, pid in enumerate(ids)}, meta["provider"], int(meta["dim"]))
+    dim = int(meta["dim"])
+    try:
+        vectors = np.load(os.path.join(path, "vectors.npy"), mmap_mode="r")
+        id_rank = np.load(os.path.join(path, "id_rank.npy"))
+    except ValueError as e:
+        raise DataError(f"{path}: not a dense index artifact ({e})") from e
+    if vectors.shape != (len(ids), dim) or vectors.dtype != np.float64:
+        raise DataError(f"{path}: dense index vectors are not {len(ids)} x {dim} float64")
+    return DenseIndex(
+        vectors,
+        ids,
+        {pid: i for i, pid in enumerate(ids)},
+        meta["provider"],
+        dim,
+        stored_id_ranks(path, id_rank, len(ids)),
+    )

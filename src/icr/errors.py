@@ -33,8 +33,13 @@ class MissingField(DataError):
 
 
 class DuplicateId(DataError):
-    def __init__(self, passage_id: str):
-        super().__init__(f"duplicate passage id {passage_id!r}")
+    """A repeated passage id; a collection file also names where it repeats."""
+
+    def __init__(self, passage_id: str, path: str | None = None, line_no: int | None = None,
+                 first_line: int | None = None):
+        where = f"{path}:{line_no}: " if path is not None else ""
+        first = f" (first on line {first_line})" if first_line is not None else ""
+        super().__init__(f"{where}duplicate passage id {passage_id!r}{first}")
         self.passage_id = passage_id
 
 

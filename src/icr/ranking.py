@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .corpus import _open_text
-from .errors import MalformedRecord
+from .errors import DataError, MalformedRecord
 
 
 @dataclass
@@ -51,6 +51,20 @@ def id_ranks(ids: Sequence[str]) -> np.ndarray:
     canonical tie-break; an index computes it once."""
     ranks = np.empty(len(ids), dtype=np.int64)
     ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
+
+
+def stored_id_ranks(path: str, ranks: np.ndarray, n: int) -> np.ndarray:
+    """Id ranks read from an index file, as int64; a DataError unless they
+    are a permutation of the ``n`` ordinals."""
+    ok = ranks.shape == (n,) and ranks.dtype.kind in "iu" and (n == 0 or 0 <= ranks.min() <= ranks.max() < n)
+    if ok:
+        ranks = ranks.astype(np.int64)
+        seen = np.zeros(n, dtype=bool)
+        seen[ranks] = True
+        ok = bool(seen.all())
+    if not ok:
+        raise DataError(f"{path}: stored id ranks are not a permutation of the passage ordinals")
     return ranks
 
 

@@ -35,17 +35,18 @@ import numpy as np
 
 from .corpus import Passage
 from .errors import DataError, DuplicateId, EmptyCollection
-from .ranking import RankedList, id_ranks, top_k
+from .ranking import RankedList, id_ranks, stored_id_ranks, top_k
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 INDEX_FORMAT = "icr-sparse-index"
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 
 # Archive members in write order; each is an .npy array of byte planes
 # (see ``_to_planes``), ``meta`` holding the JSON header (format, version,
-# params, ids, terms) as UTF-8 bytes.
-_MEMBERS = ("meta", "offsets", "ord_gaps", "tfs", "doc_lengths")
+# params, ids, terms) as UTF-8 bytes and ``id_rank`` the ordinal -> id rank
+# map, so a load does not sort the ids.
+_MEMBERS = ("meta", "offsets", "ord_gaps", "tfs", "doc_lengths", "id_rank")
 _FIXED_TIME = (1980, 1, 1, 0, 0, 0)
 
 
@@ -82,9 +83,9 @@ class SparseIndex:
     tfs: np.ndarray  # int32 term frequencies, parallel to ords
     doc_lengths: np.ndarray  # int64 token count per ordinal
     ids: list[str]  # ordinal -> passage id
+    id_rank: np.ndarray | None = None  # ordinal -> rank of its id; None computes it
     avg_doc_length: float = field(init=False)
     ordinals: dict[str, int] = field(init=False)  # passage id -> ordinal
-    id_rank: np.ndarray = field(init=False)  # ordinal -> rank of its id
     # k1 * (1 - b + b * len(d) / avglen) per ordinal, the length part of
     # the BM25 denominator in the scalar formula's operation order
     length_norm: np.ndarray = field(init=False, repr=False)
@@ -93,7 +94,8 @@ class SparseIndex:
         k1, b = self.params.k1, self.params.b
         self.avg_doc_length = int(self.doc_lengths.sum()) / len(self.doc_lengths)
         self.ordinals = dict(zip(self.ids, range(len(self.ids))))
-        self.id_rank = id_ranks(self.ids)
+        if self.id_rank is None:
+            self.id_rank = id_ranks(self.ids)
         # an average of 0 means no passage has a token, so no norm is read
         avg = self.avg_doc_length or 1.0
         self.length_norm = k1 * (1.0 - b + b * self.doc_lengths / avg)
@@ -212,6 +214,7 @@ def save_sparse_index(index: SparseIndex, path: str) -> None:
         "ord_gaps": _narrow(_ord_gaps(index)),
         "tfs": _narrow(index.tfs),
         "doc_lengths": _narrow(index.doc_lengths),
+        "id_rank": _narrow(index.id_rank),
     }
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
         for name in _MEMBERS:
@@ -229,7 +232,7 @@ def _read_member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
 
 
 def load_sparse_index(path: str) -> SparseIndex:
-    """Load an index written by ``save_sparse_index`` (version 3 only)."""
+    """Load an index written by ``save_sparse_index`` (version 4 only)."""
     with open(path, "rb") as fh:
         if fh.read(2) == b"\x1f\x8b":
             raise DataError(
@@ -250,7 +253,7 @@ def load_sparse_index(path: str) -> SparseIndex:
                     f"re-run build-index to write version {INDEX_VERSION}"
                 )
             _from_planes(path, "meta", meta_planes)
-            offsets, gaps, tfs, doc_lengths = (
+            offsets, gaps, tfs, doc_lengths, id_rank = (
                 _from_planes(path, name, _read_member(zf, name)) for name in _MEMBERS[1:]
             )
             offsets = offsets.astype(np.int64)
@@ -281,4 +284,5 @@ def load_sparse_index(path: str) -> SparseIndex:
         tfs.astype(np.int32),
         doc_lengths.astype(np.int64),
         ids,
+        stored_id_ranks(path, id_rank, len(ids)),
     )

@@ -106,7 +106,9 @@ def improve_then_plateau(rounds: int, attempts: int) -> ScriptedMock:
 def build_cli_workspace(root) -> dict[str, str]:
     """Materialize collection, dataset, qrels, mock script, and config
     files for end-to-end CLI runs over the tier corpus."""
-    from icr.corpus import write_collection, write_cqr_dataset, write_qrels, Qrels
+    from icr.corpus import Qrels
+
+    from .support import write_collection, write_cqr_dataset, write_qrels
 
     root.mkdir(parents=True, exist_ok=True)
     paths = {

@@ -1,0 +1,36 @@
+"""File writers for test fixtures: the inverse of the ``icr.corpus`` loaders."""
+
+from __future__ import annotations
+
+import json
+from typing import Iterable, Sequence
+
+from icr.corpus import CQRSample, Passage, Qrels, _infer_format
+
+
+def write_collection(passages: Iterable[Passage], path: str, format: str | None = None) -> None:
+    fmt = format or _infer_format(path)
+    with open(path, "w", encoding="utf-8") as fh:
+        for p in passages:
+            if fmt == "tsv":
+                fh.write(f"{p.id}\t{p.text}\n")
+            else:
+                fh.write(json.dumps({"id": p.id, "text": p.text}, ensure_ascii=False) + "\n")
+
+
+def write_cqr_dataset(samples: Sequence[CQRSample], path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for s in samples:
+            rec = {
+                "sample_id": s.sample_id,
+                "history": [{"query": t.query, "answer": t.answer} for t in s.history],
+                "query": s.query,
+                "gold_passage_ids": sorted(s.gold_passage_ids),
+            }
+            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+
+
+def write_qrels(qrels: Qrels, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for (sid, pid), grade in sorted(qrels.grades.items()):
+            fh.write(f"{sid} 0 {pid} {grade}\n")

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from icr.cli import main
-from icr.corpus import write_collection
 from icr.errors import ProviderUnavailable
 from icr.fusion import FusionConfig
 from icr.manifest import load_manifest, verify_outputs
@@ -14,6 +13,7 @@ from icr.pipeline import InferenceConfig, InferenceResult, emit_per_query_runs, 
 from icr.ranking import RankedList
 
 from .conftest import build_cli_workspace, make_tier_corpus
+from .support import write_collection
 
 
 @pytest.fixture()
@@ -432,3 +432,22 @@ def test_every_command_writes_its_manifest_beside_out(ws, capsys, command):
     assert manifest["command"] == command
     assert manifest["seed"] == (7 if _seeded(command) else None)
     assert list(manifest["outputs"])[0] == out
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("c.tsv", "p1\ta\np2\tb\np1\tc\n", "{path}:3: duplicate passage id 'p1' (first on line 1)"),
+        ("c.jsonl", '{"id": "p1", "text": "a"}\n\n{"id": "p1", "text": "b"}\n',
+         "{path}:3: duplicate passage id 'p1' (first on line 1)"),
+        ("c.jsonl", '{"id": null, "text": "alpha beta"}\n', "{path}:1: id must be a string or an integer"),
+        ("c.jsonl", '{"id": "x", "text": {"a": 1}}\n', "{path}:1: text must be a string"),
+    ],
+    ids=["tsv-duplicate", "jsonl-duplicate", "null-id", "object-text"],
+)
+def test_bad_collection_lines_are_data_errors_naming_the_line(ws, capsys, name, text, message):
+    path = ws["out"] / name
+    path.write_text(text, encoding="utf-8")
+    for command in ("build-index", "embed-index"):
+        assert main([command, "--collection", str(path), "--out", str(ws["out"] / "idx")]) == 2
+        assert capsys.readouterr().err == "data error: " + message.format(path=path) + "\n"

@@ -12,11 +12,10 @@ from icr.corpus import (
     load_collection,
     load_cqr_dataset,
     load_qrels,
-    write_collection,
-    write_cqr_dataset,
-    write_qrels,
 )
 from icr.errors import DuplicateId, MalformedRecord, MissingField
+
+from .support import write_collection, write_cqr_dataset, write_qrels
 
 
 def test_load_tsv_collection(tmp_path):
@@ -229,3 +228,54 @@ def test_invalid_utf8_in_a_text_file_is_a_malformed_record(tmp_path, load, good)
     with pytest.raises(MalformedRecord) as err:
         load(str(path))
     assert (err.value.path, err.value.line_no, err.value.reason) == (str(path), 3, "invalid UTF-8")
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        ({"id": None, "text": "alpha beta"}, "id"),
+        ({"id": ["x"], "text": "alpha"}, "id"),
+        ({"id": True, "text": "alpha"}, "id"),
+        ({"id": 1.5, "text": "alpha"}, "id"),
+        ({"id": {"a": 1}, "text": "alpha"}, "id"),
+        ({"id": "p2", "text": {"a": 1}}, "text"),
+        ({"id": "p2", "text": None}, "text"),
+        ({"id": "p2", "text": 7}, "text"),
+        ({"id": "p2", "text": ["alpha"]}, "text"),
+    ],
+    ids=["null-id", "list-id", "bool-id", "float-id", "object-id", "object-text", "null-text", "number-text",
+         "list-text"],
+)
+def test_jsonl_collection_rejects_ids_and_texts_of_other_types(tmp_path, record, field):
+    path = tmp_path / "coll.jsonl"
+    lines = [{"id": "p1", "text": "alpha"}, record]
+    path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+    with pytest.raises(MalformedRecord) as err:
+        list(load_collection(str(path)))
+    assert (err.value.path, err.value.line_no) == (str(path), 2)
+    assert field in err.value.reason
+
+
+def test_jsonl_collection_accepts_integer_ids(tmp_path):
+    path = tmp_path / "coll.jsonl"
+    path.write_text('{"id": 7, "text": "alpha"}\n{"id": "p8", "text": ""}\n', encoding="utf-8")
+    assert list(load_collection(str(path))) == [Passage("7", "alpha"), Passage("p8", "")]
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+def test_duplicate_id_names_the_file_and_both_lines(tmp_path, fmt):
+    path = tmp_path / f"coll.{fmt}"
+    passages = [Passage("p1", "a"), Passage("p2", "b"), Passage("p1", "c")]
+    write_collection(passages, str(path), fmt)
+    with pytest.raises(DuplicateId) as err:
+        list(load_collection(str(path)))
+    assert err.value.passage_id == "p1"
+    assert str(err.value) == f"{path}:3: duplicate passage id 'p1' (first on line 1)"
+
+
+def test_duplicate_id_from_a_library_builder_keeps_the_bare_message():
+    from icr.sparse_index import build_sparse_index
+
+    with pytest.raises(DuplicateId) as err:
+        build_sparse_index([Passage("p1", "a"), Passage("p1", "b")])
+    assert str(err.value) == "duplicate passage id 'p1'" and err.value.passage_id == "p1"

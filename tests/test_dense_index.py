@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import threading
 import time
@@ -18,7 +19,7 @@ from icr.dense_index import (
     save_dense_index,
     search_dense,
 )
-from icr.errors import DimensionMismatch, DuplicateId, EmptyCollection, ProviderMismatch, ProviderUnavailable
+from icr.errors import DataError, DimensionMismatch, DuplicateId, EmptyCollection, ProviderMismatch, ProviderUnavailable
 from icr.genclient import run_in_order
 
 from .oracles import oracle_dense_topk, oracle_hash_embedding
@@ -328,3 +329,65 @@ def test_build_outage_mid_build_reports_passages_done():
     passages = [Passage(f"p{i}", f"t{i}") for i in range(6)]
     with pytest.raises(ProviderUnavailable, match=r"embedded 4 passages before failure"):
         build_dense_index(passages, Failing(dim=4), batch_size=2)
+
+
+def _saved(tmp_path, ids=("p2", "p10", "p1")):
+    path = tmp_path / "dense"
+    index = build_dense_index([Passage(pid, f"alpha {pid}") for pid in ids], HashEmbeddingProvider(dim=8))
+    save_dense_index(index, str(path))
+    return index, path
+
+
+def test_load_maps_the_vectors_and_takes_the_stored_id_ranks(tmp_path, monkeypatch):
+    import icr.dense_index as dense_index
+
+    index, path = _saved(tmp_path)
+    assert sorted(p.name for p in path.iterdir()) == ["id_rank.npy", "meta.json", "vectors.npy"]
+    monkeypatch.setattr(dense_index, "id_ranks", lambda ids: pytest.fail("load sorted the ids"))
+    loaded = load_dense_index(str(path))
+    assert isinstance(loaded.vectors, np.memmap) and not loaded.vectors.flags.writeable
+    assert loaded.vectors.dtype == np.float64
+    assert loaded.id_rank.dtype == np.int64 and loaded.id_rank.tolist() == index.id_rank.tolist() == [2, 1, 0]
+    provider = HashEmbeddingProvider(dim=8)
+    assert search_dense(loaded, "alpha", 3, provider).entries == search_dense(index, "alpha", 3, provider).entries
+
+
+def test_saving_over_a_loaded_index_leaves_its_mapped_vectors_readable(tmp_path):
+    index, path = _saved(tmp_path)
+    loaded = load_dense_index(str(path))
+    save_dense_index(build_dense_index([Passage("x", "other")], HashEmbeddingProvider(dim=8)), str(path))
+    assert np.array_equal(loaded.vectors, index.vectors)
+    assert load_dense_index(str(path)).ids == ["x"]
+
+
+def test_version_1_dense_index_is_rejected(tmp_path):
+    _, path = _saved(tmp_path)
+    meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
+    meta["version"] = 1
+    (path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    (path / "id_rank.npy").unlink()
+    with pytest.raises(DataError) as err:
+        load_dense_index(str(path))
+    assert "version 1" in str(err.value) and "re-run embed-index to write version 2" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "ranks",
+    [np.array([0, 0, 2]), np.array([2, 1]), np.array([1, 2, 3]), np.array([2.0, 1.0, 0.0]), np.array([[2, 1, 0]])],
+    ids=["repeated", "too-few", "out-of-range", "float", "two-dims"],
+)
+def test_stored_id_ranks_that_are_not_a_permutation_are_data_errors(tmp_path, ranks):
+    _, path = _saved(tmp_path)
+    np.save(path / "id_rank.npy", ranks)
+    with pytest.raises(DataError, match="permutation"):
+        load_dense_index(str(path))
+
+
+def test_vectors_of_the_wrong_shape_are_data_errors(tmp_path):
+    _, path = _saved(tmp_path)
+    np.save(path / "vectors.npy", np.zeros((2, 8)))
+    with pytest.raises(DataError, match="3 x 8 float64"):
+        load_dense_index(str(path))
+    (path / "vectors.npy").write_bytes(b"not an npy file")
+    with pytest.raises(DataError, match="not a dense index"):
+        load_dense_index(str(path))

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from icr.cli import main
-from icr.corpus import Passage, write_collection
+from icr.corpus import Passage
 
 from .conftest import build_cli_workspace, make_tier_corpus
+from .support import write_collection
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")

@@ -156,7 +156,7 @@ def test_rebuild_is_byte_identical(tmp_path):
     with zipfile.ZipFile(a) as zf:
         members = zf.infolist()
     assert [m.filename for m in members] == [
-        "meta.npy", "offsets.npy", "ord_gaps.npy", "tfs.npy", "doc_lengths.npy",
+        "meta.npy", "offsets.npy", "ord_gaps.npy", "tfs.npy", "doc_lengths.npy", "id_rank.npy",
     ]
     assert {m.date_time for m in members} == {(1980, 1, 1, 0, 0, 0)}
 
@@ -334,3 +334,47 @@ def test_malformed_plane_members_are_data_errors(tmp_path, name, array):
     _write_members(bad, members)
     with pytest.raises(DataError, match="byte-plane"):
         load_sparse_index(str(bad))
+
+
+def test_version_3_artifact_is_rejected(tmp_path):
+    # version 3 had the same members but ``id_rank``
+    good = tmp_path / "good.idx"
+    save_sparse_index(build_sparse_index([Passage("p1", "a b"), Passage("p2", "b")]), str(good))
+    members = _members(good)
+    del members["id_rank"]
+    meta = json.loads(members["meta"].tobytes().decode("utf-8"))
+    meta["version"] = 3
+    members["meta"] = _to_planes(np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
+    path = tmp_path / "v3.idx"
+    _write_members(path, members)
+    with pytest.raises(DataError) as err:
+        load_sparse_index(str(path))
+    assert "version 3" in str(err.value) and "re-run build-index to write version 4" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "ranks",
+    [[0, 0, 2], [2, 1], [0, 1, 2, 3], [1, 2, 3]],
+    ids=["repeated", "too-few", "too-many", "out-of-range"],
+)
+def test_stored_id_ranks_that_are_not_a_permutation_are_data_errors(tmp_path, ranks):
+    good = tmp_path / "good.idx"
+    save_sparse_index(build_sparse_index([Passage("p1", "a"), Passage("p2", "b"), Passage("p3", "c")]), str(good))
+    members = _members(good)
+    members["id_rank"] = _to_planes(np.array(ranks, dtype=np.uint8))
+    bad = tmp_path / "bad.idx"
+    _write_members(bad, members)
+    with pytest.raises(DataError, match="permutation"):
+        load_sparse_index(str(bad))
+
+
+def test_load_takes_the_stored_id_ranks(tmp_path, monkeypatch):
+    import icr.sparse_index as sparse_index
+
+    path = tmp_path / "idx"
+    index = build_sparse_index([Passage("p2", "a"), Passage("p10", "a"), Passage("p1", "a")])
+    save_sparse_index(index, str(path))
+    monkeypatch.setattr(sparse_index, "id_ranks", lambda ids: pytest.fail("load sorted the ids"))
+    loaded = load_sparse_index(str(path))
+    assert loaded.id_rank.tolist() == [2, 1, 0]
+    assert search_sparse(loaded, "a", 3).ids() == ["p1", "p10", "p2"]
