@@ -209,8 +209,9 @@ def load_cqr_dataset(path: str) -> list[CQRSample]:
     Samples are returned in file order with history order preserved.
 
     Raises:
-        MalformedRecord: unparseable JSON, invalid turn content, or a
-            repeated ``sample_id``.
+        MalformedRecord: unparseable JSON, invalid turn content, a
+            ``gold_passage_ids`` that is not a list of strings or integers,
+            or a repeated ``sample_id``.
         MissingField: a required field is absent.
     """
     samples: list[CQRSample] = []
@@ -240,6 +241,8 @@ def load_cqr_dataset(path: str) -> list[CQRSample]:
             history.append(Turn(str(t["query"]), str(t["answer"])))
         if not query:
             raise MalformedRecord(path, line_no, "query is empty")
+        if not isinstance(gold, list) or any(isinstance(g, bool) or not isinstance(g, (str, int)) for g in gold):
+            raise MalformedRecord(path, line_no, "gold_passage_ids must be a list of strings or integers")
         samples.append(CQRSample(sample_id, history, query, {str(g) for g in gold}))
     return samples
 

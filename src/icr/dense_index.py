@@ -14,6 +14,7 @@ import os
 import time
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Protocol
 
 import numpy as np
@@ -60,11 +61,15 @@ class HashEmbeddingProvider:
         self.name = f"hash-{dim}"
 
     def embed_batch(self, texts: list[str], role: str | None = None) -> np.ndarray:
-        buckets: list[int] = []  # row * dim + bucket, for every token of every text
-        for row, text in enumerate(texts):
-            base = row * self.dim
-            buckets.extend([base + zlib.crc32(token.encode("utf-8")) % self.dim for token in tokenize(text)])
-        counts = np.bincount(np.array(buckets, dtype=np.int64), minlength=len(texts) * self.dim)
+        token_lists = [tokenize(text) for text in texts]
+        lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(texts))
+        # crc32(token) % dim for every token of every text, then plus row * dim
+        buckets = np.fromiter(
+            map(zlib.crc32, map(str.encode, chain.from_iterable(token_lists))), dtype=np.int64, count=int(lengths.sum())
+        )
+        buckets %= self.dim
+        buckets += np.repeat(np.arange(0, len(texts) * self.dim, self.dim, dtype=np.int64), lengths)
+        counts = np.bincount(buckets, minlength=len(texts) * self.dim)
         vectors = counts.reshape(len(texts), self.dim).astype(np.float64)
         # squares of small integer counts sum exactly in any order, so these
         # norms equal np.linalg.norm's bit for bit

@@ -38,6 +38,9 @@ from .errors import DataError, DuplicateId, EmptyCollection
 from .ranking import RankedList, id_ranks, stored_id_ranks, top_k
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# The same rule for ASCII text as a byte table: A-Z folds to a-z, the rest
+# of [a-z0-9] maps to itself and every other byte to a space.
+_ASCII_TOKEN_TABLE = bytes(ord(c.lower()) if c.isalnum() else 0x20 for c in map(chr, range(128))) + b" " * 128
 
 INDEX_FORMAT = "icr-sparse-index"
 INDEX_VERSION = 4
@@ -51,8 +54,17 @@ _FIXED_TIME = (1980, 1, 1, 0, 0, 0)
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on non-alphanumeric runs; drops empty tokens."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase and split on non-alphanumeric runs; drops empty tokens.
+
+    ``_TOKEN_RE`` on the lowercased text is the definition. Text that is
+    ASCII once lowercased (the Kelvin sign lowercases to ``k``) takes an
+    equivalent byte-table path, about twice as fast.
+    """
+    if not text.isascii():
+        text = text.lower()
+        if not text.isascii():
+            return _TOKEN_RE.findall(text)
+    return text.encode("ascii").translate(_ASCII_TOKEN_TABLE).decode("ascii").split()
 
 
 @dataclass(frozen=True)

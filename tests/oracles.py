@@ -8,6 +8,7 @@ independent of the library's index/search code paths.
 from __future__ import annotations
 
 import math
+import re
 import zlib
 from collections import Counter
 from typing import Mapping
@@ -17,7 +18,12 @@ import numpy as np
 from icr.corpus import _open_text
 from icr.errors import MalformedRecord
 from icr.ranking import RankedList
-from icr.sparse_index import tokenize
+
+
+def oracle_tokenize(text: str) -> list[str]:
+    """The declared tokenizer: lowercase, then maximal runs of Unicode
+    alphanumerics (word characters other than ``_``)."""
+    return re.findall(r"[^\W_]+", text.lower())
 
 
 def oracle_mrr(ranked_ids: list[str], relevant: set[str]) -> float:
@@ -127,7 +133,7 @@ def oracle_sparse_postings(texts: list[str]):
     terms: dict[str, int] = {}
     rows, ords, tfs, doc_lengths = [], [], [], []
     for ordinal, text in enumerate(texts):
-        tokens = tokenize(text)
+        tokens = oracle_tokenize(text)
         doc_lengths.append(len(tokens))
         for term, tf in Counter(tokens).items():
             rows.append(terms.setdefault(term, len(terms)))
@@ -152,7 +158,7 @@ def oracle_hash_embedding(texts: list[str], dim: int) -> np.ndarray:
     its ``np.linalg.norm``."""
     out = np.zeros((len(texts), dim), dtype=np.float64)
     for v, text in zip(out, texts):
-        for token in tokenize(text):
+        for token in oracle_tokenize(text):
             v[zlib.crc32(token.encode("utf-8")) % dim] += 1.0
         norm = float(np.linalg.norm(v))
         if norm > 0.0:

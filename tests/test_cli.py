@@ -310,6 +310,19 @@ def test_every_jsonl_input_cut_mid_line_is_a_data_error(ws, capsys, case):
     assert capsys.readouterr().err.startswith(f"data error: {path}:2: ")
 
 
+@pytest.mark.parametrize("gold", [5, "p1", [True]], ids=["int", "string", "bool-item"])
+def test_dataset_gold_ids_that_are_not_a_list_of_ids_are_a_data_error(ws, capsys, gold):
+    path = ws["out"] / "data.jsonl"
+    rec = {"sample_id": "s1", "history": [], "query": "q", "gold_passage_ids": gold}
+    path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["crdg", "--dataset", str(path), "--mock-script", ws["script"],
+                 "--out", str(ws["out"] / "x")]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {path}:1: gold_passage_ids must be a list of strings or integers\n"
+    )
+
+
 NESTED_BAD = (
     '{"sample_id":"s1","original_query":"q","f0":{"f":1},"steps":[],"serialized":"",'
     '"stop_reason":"early_stop"}\n'

@@ -185,6 +185,29 @@ def test_load_cqr_dataset_history_must_be_a_list_of_objects(tmp_path, history, n
     assert err.value.reason.startswith(f"{named} is not")
 
 
+@pytest.mark.parametrize(
+    "gold",
+    [5, "p1", None, {"p1": 1}, [True], ["p1", None], [1.5], [["p1"]]],
+    ids=["int", "string", "null", "object", "bool-item", "null-item", "float-item", "list-item"],
+)
+def test_load_cqr_dataset_gold_ids_must_be_a_list_of_strings_or_integers(tmp_path, gold):
+    # a bare string used to become the set of its characters
+    path = tmp_path / "data.jsonl"
+    rec = {"sample_id": "s1", "history": [], "query": "q", "gold_passage_ids": gold}
+    path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as err:
+        load_cqr_dataset(str(path))
+    assert (err.value.path, err.value.line_no) == (str(path), 1)
+    assert err.value.reason == "gold_passage_ids must be a list of strings or integers"
+
+
+def test_load_cqr_dataset_reads_integer_gold_ids_as_strings(tmp_path):
+    path = tmp_path / "data.jsonl"
+    rec = {"sample_id": "s1", "history": [], "query": "q", "gold_passage_ids": [7, "p2", 7]}
+    path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    assert load_cqr_dataset(str(path))[0].gold_passage_ids == {"7", "p2"}
+
+
 @pytest.mark.parametrize("line", ["[1, 2]", '"text"', '{"sample_id": "s1", "hist'])
 def test_load_cqr_dataset_rejects_a_line_that_is_not_an_object(tmp_path, line):
     path = tmp_path / "data.jsonl"
