@@ -1,5 +1,7 @@
 """Iterative clarification-and-rewriting toolkit for conversational search."""
 
+__version__ = "0.1.0"
+
 from .corpus import CQRSample, Passage, Qrels, Turn
 from .crdg import CrdgConfig, Trajectory, TrajectoryStep, generate_trajectory
 from .dense_index import DenseIndex, HashEmbeddingProvider, build_dense_index, search_dense
@@ -10,8 +12,6 @@ from .pipeline import InferenceConfig, InferenceResult, run_batch
 from .prefdata import PreferencePair
 from .ranking import RankedList
 from .sparse_index import Bm25Params, SparseIndex, build_sparse_index, search_sparse, tokenize
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Bm25Params",

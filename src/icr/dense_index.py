@@ -33,7 +33,7 @@ from .ranking import RankedList, id_ranks, stored_id_ranks, top_k
 from .sparse_index import tokenize
 
 if TYPE_CHECKING:
-    import requests
+    from .transport import Transport
 
 DENSE_FORMAT = "icr-dense-index"
 DENSE_VERSION = 2
@@ -101,7 +101,7 @@ class RemoteEmbeddingProvider(_Endpoint):
         backoff_seconds: float = 0.5,
         timeout: float = 30.0,
         max_in_flight: int = 4,
-        session: requests.Session | None = None,
+        session: Transport | None = None,
         sleep=time.sleep,
     ):
         super().__init__(url, api_key, max_retries, backoff_seconds, timeout, max_in_flight, session, sleep)

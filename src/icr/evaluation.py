@@ -14,7 +14,7 @@ here are pure over immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import CQRSample, Qrels
@@ -46,7 +46,8 @@ class MetricSet:
         return self.mrr + self.ndcg3 + self.recall10 + self.recall100
 
     def as_dict(self) -> dict[str, float]:
-        return asdict(self)
+        # field by field: dataclasses.asdict deep-copies recursively
+        return {"mrr": self.mrr, "ndcg3": self.ndcg3, "recall10": self.recall10, "recall100": self.recall100}
 
 
 ZERO_METRICS = MetricSet()
@@ -60,7 +61,7 @@ class QualityScore:
     mode: str
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {"f": self.f, "sparse": self.sparse.as_dict(), "dense": self.dense.as_dict(), "mode": self.mode}
 
 
 def quality_from_dict(obj: Mapping) -> QualityScore:

@@ -36,7 +36,7 @@ from .corpus import Turn, _require, read_jsonl
 from .errors import EmptyResponse, MalformedRecord, MissingRequired, MissingScriptEntry, ProviderUnavailable
 
 if TYPE_CHECKING:
-    import requests
+    from .transport import Transport
 
 GEN_URL_ENV = "ICR_GEN_URL"
 GEN_KEY_ENV = "ICR_GEN_KEY"
@@ -201,11 +201,14 @@ class _RateLimiter:
 class _Endpoint:
     """An HTTP JSON endpoint and the retry policy of the remote clients.
 
-    Connection errors, 429 and 5xx responses and unreadable bodies are
-    retried with exponential backoff; any other 4xx fails at once. One
-    in-flight slot is held for the whole call, and the rate limiter (if
-    any) is consulted before every attempt, retries included. In a
-    ``run_in_order`` batch that has stopped, no further attempt is made.
+    Connection errors and timeouts (``OSError``, ``HTTPException``), 429 and
+    5xx responses and unreadable bodies are retried with exponential
+    backoff; any other 4xx, and a redirect, fails at once. Requests go
+    through ``session``, a keep-alive ``transport.Transport`` unless one is
+    given. One in-flight slot is held for the whole call, and the rate
+    limiter (if any) is consulted before every attempt, retries included.
+    In a ``run_in_order`` batch that has stopped, no further attempt is
+    made.
     """
 
     _label = "endpoint"  # names the endpoint in ProviderUnavailable
@@ -218,9 +221,9 @@ class _Endpoint:
         self.backoff_seconds = backoff_seconds
         self.timeout = timeout
         if session is None:
-            import requests
+            from .transport import Transport
 
-            session = requests.Session()
+            session = Transport()
         self.session = session
         self._sleep = sleep
         self.max_in_flight = max_in_flight
@@ -231,7 +234,7 @@ class _Endpoint:
         """POST ``payload`` and return ``read(body)``; ``read`` raising
         KeyError, IndexError, ValueError or TypeError marks the body
         unreadable, which is retried."""
-        import requests
+        from http.client import HTTPException
 
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         with self._slots:
@@ -245,14 +248,15 @@ class _Endpoint:
                     self._limiter.wait()
                 try:
                     resp = self.session.post(self.url, json=payload, headers=headers, timeout=self.timeout)
-                except requests.RequestException as e:
+                except (OSError, HTTPException) as e:
                     last_err = e
                     continue
                 if resp.status_code == 429 or resp.status_code >= 500:
                     last_err = f"retryable status {resp.status_code}"
                     continue
-                if resp.status_code >= 400:
-                    raise ProviderUnavailable(f"{self._label} {self.url} failed: status {resp.status_code}")
+                if resp.status_code >= 300:
+                    redirect = f", redirect to {resp.headers.get('Location')} not followed" if resp.status_code < 400 else ""
+                    raise ProviderUnavailable(f"{self._label} {self.url} failed: status {resp.status_code}{redirect}")
                 try:
                     return read(resp.json())
                 except (KeyError, IndexError, ValueError, TypeError) as e:
@@ -283,7 +287,7 @@ class RemoteChatClient(_Endpoint):
         timeout: float = 60.0,
         max_in_flight: int = 4,
         requests_per_second: float | None = None,
-        session: requests.Session | None = None,
+        session: Transport | None = None,
         sleep=time.sleep,
     ):
         super().__init__(url, api_key, max_retries, backoff_seconds, timeout, max_in_flight, session, sleep,

@@ -1,9 +1,12 @@
 """Sample-level concurrency: outputs, order, width and failure stops.
 
-``SlowClient`` answers by rule and sleeps on every call, the first sample
-far longer than the rest, so later samples finish first at width 4. Every
-sample's query carries a tag ``x<i>`` that the rules keep, so each call
-can be traced back to its sample.
+``SlowClient`` answers by rule and sleeps on every call. The first calls of
+the first ``width`` samples wait for each other on a barrier, so those
+calls provably overlap. Given each sample's call count (from a serial
+run), it holds the first sample's last call until every other sample has
+made its last call, so later samples provably finish first. Every sample's
+query carries a tag ``x<i>`` that the rules keep, so each call can be
+traced back to its sample.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import re
 import sys
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -77,23 +81,43 @@ class Tracker:
                 self.active -= 1
                 self.finished.append(sample)
 
+    def calls(self) -> Counter:
+        """Calls made per sample."""
+        return Counter(s for _, s in self.starts)
+
 
 class SlowClient:
-    def __init__(self, width: int = 4, delays: dict[int, float] | None = None, fail: tuple[int, int] | None = None):
+    def __init__(self, width: int = 4, delays: dict[int, float] | None = None, fail: tuple[int, int] | None = None,
+                 calls: Counter | None = None):
         self.max_in_flight = width
-        self.delays = {0: 0.02} if delays is None else delays
+        self.delays = delays or {}
         self.fail = fail  # (sample, call number) that raises
         self.failed_at: float | None = None
         self.tracker = Tracker()
+        self.first_wave = threading.Barrier(width, timeout=10)
+        self.calls = calls
+        self._unfinished = set(calls) - {0} if calls else set()  # samples yet to end their last call
+        self._rest_finished = threading.Event()
+        self._lock = threading.Lock()
 
     def generate(self, kind, fingerprint, prompt, attempt=0):
         sample = _sample_index(fingerprint)
         with self.tracker.call(sample) as number:
+            if number == 1 and sample < self.max_in_flight:
+                self.first_wave.wait()
+            if self.calls and sample == 0 and number == self.calls[0]:
+                self._rest_finished.wait(10)
             time.sleep(self.delays.get(sample, 0.001))
             if self.fail == (sample, number):
                 self.failed_at = time.monotonic()
                 raise RuntimeError("generator crashed")
-            return answer(kind, fingerprint, attempt)
+            out = answer(kind, fingerprint, attempt)
+        if self.calls and sample != 0 and number == self.calls[sample]:
+            with self._lock:
+                self._unfinished.discard(sample)
+                if not self._unfinished:
+                    self._rest_finished.set()
+        return out
 
 
 class TrackedMock(ScriptedMock):
@@ -171,8 +195,9 @@ def _assert_overlapped(client):
 
 
 def test_crdg_output_is_byte_identical_at_width_four(tmp_path, samples, indexes):
-    serial = _crdg(tmp_path, "serial.jsonl", samples, SlowClient(width=1, delays={}), indexes)
-    client = SlowClient()
+    reference = SlowClient(width=1)
+    serial = _crdg(tmp_path, "serial.jsonl", samples, reference, indexes)
+    client = SlowClient(calls=reference.tracker.calls())
     concurrent = _crdg(tmp_path, "concurrent.jsonl", samples, client, indexes)
     assert concurrent == serial
     _assert_overlapped(client)
@@ -184,9 +209,10 @@ def test_crdg_output_is_byte_identical_at_width_four(tmp_path, samples, indexes)
 @pytest.mark.parametrize("multi_ot", [False, True])
 def test_prefdata_output_is_byte_identical_at_width_four(tmp_path, samples, indexes, multi_ot):
     dcr = tmp_path / "dcr.jsonl"
-    build_crdg_dataset(samples, SlowClient(width=1, delays={}), *indexes, CONFIG, str(dcr))
-    serial = _prefdata(tmp_path, "serial.jsonl", samples, SlowClient(width=1, delays={}), indexes, dcr, multi_ot)
-    client = SlowClient()
+    build_crdg_dataset(samples, SlowClient(width=1), *indexes, CONFIG, str(dcr))
+    reference = SlowClient(width=1)
+    serial = _prefdata(tmp_path, "serial.jsonl", samples, reference, indexes, dcr, multi_ot)
+    client = SlowClient(calls=reference.tracker.calls())
     concurrent = _prefdata(tmp_path, "concurrent.jsonl", samples, client, indexes, dcr, multi_ot)
     assert concurrent == serial
     assert serial.count(b'"dimension":"ot"') == N_SAMPLES
@@ -195,8 +221,9 @@ def test_prefdata_output_is_byte_identical_at_width_four(tmp_path, samples, inde
 
 @pytest.mark.parametrize("step_wise", [False, True])
 def test_infer_output_is_byte_identical_at_width_four(tmp_path, samples, indexes, step_wise):
-    serial = _infer(tmp_path, "serial", samples, SlowClient(width=1, delays={}), indexes, step_wise)
-    client = SlowClient()
+    reference = SlowClient(width=1)
+    serial = _infer(tmp_path, "serial", samples, reference, indexes, step_wise)
+    client = SlowClient(calls=reference.tracker.calls())
     concurrent = _infer(tmp_path, "concurrent", samples, client, indexes, step_wise)
     assert concurrent == serial
     _assert_overlapped(client)
@@ -225,7 +252,7 @@ def test_worker_error_stops_every_generator_call(tmp_path, samples, indexes):
 
 
 def test_leaving_early_stops_every_generator_call(samples):
-    client = SlowClient(delays={})
+    client = SlowClient()
 
     def work(client, sample):
         return [client.generate("clarify", sample.query, "", attempt) for attempt in range(5)]

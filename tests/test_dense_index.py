@@ -157,11 +157,9 @@ def test_remote_provider_dimension_mismatch():
 
 
 def test_remote_provider_retries_then_succeeds():
-    import requests
-
     session = _FakeSession(
         [
-            requests.ConnectionError("down"),
+            ConnectionError("down"),
             _FakeResponse(status_code=500),
             _FakeResponse(payload={"vectors": [[0.5] * 4]}),
         ]
@@ -173,9 +171,7 @@ def test_remote_provider_retries_then_succeeds():
 
 
 def test_remote_provider_exhausts_budget():
-    import requests
-
-    session = _FakeSession([requests.ConnectionError("down")] * 4)
+    session = _FakeSession([ConnectionError("down")] * 4)
     provider = RemoteEmbeddingProvider(
         "http://x/embed", dim=4, max_retries=3, session=session, sleep=lambda s: None
     )
@@ -240,9 +236,7 @@ def test_remote_provider_stops_with_its_batch():
 
 
 def test_build_outage_reports_progress():
-    import requests
-
-    session = _FakeSession([requests.ConnectionError("down")] * 4)
+    session = _FakeSession([ConnectionError("down")] * 4)
     provider = RemoteEmbeddingProvider(
         "http://x/embed", dim=4, max_retries=3, session=session, sleep=lambda s: None
     )

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 import random
 
@@ -10,6 +12,7 @@ from icr.dense_index import HashEmbeddingProvider, build_dense_index
 from icr.errors import GoldMissingFromCollection
 from icr.evaluation import (
     MetricSet,
+    QualityScore,
     delta_f_profile,
     evaluate_run,
     f_score,
@@ -117,6 +120,12 @@ def test_f_score_rank1_both_is_8(tiny_indexes):
     assert qs.sparse.total() == pytest.approx(4.0)
     assert qs.dense.total() == pytest.approx(4.0)
     assert quality_from_dict(qs.as_dict()) == qs
+
+
+def test_as_dict_matches_dataclasses_asdict_key_for_key():
+    # report and trajectory bytes depend on the key order as well
+    qs = QualityScore(1.5, MetricSet(0.5, 0.25, 0.5, 0.25), MetricSet(recall100=1.0), "both")
+    assert json.dumps(qs.as_dict()) == json.dumps(dataclasses.asdict(qs))
 
 
 def test_f_score_gold_never_retrieved(tiny_indexes):

@@ -193,9 +193,7 @@ def test_remote_client_success_and_attempt_threading():
 
 
 def test_remote_client_retries_then_gives_up():
-    import requests
-
-    session = _FakeSession([requests.ConnectionError("down")] * 3)
+    session = _FakeSession([ConnectionError("down")] * 3)
     client = RemoteChatClient(
         "http://x/chat", max_retries=2, session=session, sleep=lambda s: None
     )
@@ -331,6 +329,12 @@ def test_cli_import_does_not_load_requests():
     import icr
 
     env = dict(os.environ, PYTHONPATH=str(Path(icr.__file__).resolve().parents[1]))
-    code = "import sys; import icr.cli; print('requests' in sys.modules)"
+    # nor does making the remote clients, which use the stdlib transport
+    code = (
+        "import sys; import icr.cli\n"
+        "from icr.dense_index import RemoteEmbeddingProvider\n"
+        "icr.cli.RemoteChatClient('http://127.0.0.1:9/chat'); RemoteEmbeddingProvider('http://127.0.0.1:9/e', dim=4)\n"
+        "print(bool({'requests', 'urllib3'} & set(sys.modules)))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

@@ -1,9 +1,8 @@
 from __future__ import annotations
 
-import time
-
 import pytest
 
+from icr import pipeline
 from icr.corpus import CQRSample, Passage, Qrels
 from icr.evaluation import evaluate_run, metric_set
 from icr.fusion import FusionConfig
@@ -197,13 +196,26 @@ def test_both_report_produces_two_result_sets(fig_sparse, fig_sample):
     assert results["sparse"][0].trajectory_text == results["dense"][0].trajectory_text
 
 
+class _Clock:
+    """Stands in for the ``time`` module that ``pipeline`` reads."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        return self.now
+
+
 class _SlowClient:
-    def __init__(self, inner, delay: float):
+    """Takes ``delay`` seconds of ``clock`` time per call, without waiting."""
+
+    def __init__(self, inner, delay: float, clock: _Clock):
         self.inner = inner
         self.delay = delay
+        self.clock = clock
 
     def generate(self, kind, fingerprint, prompt, attempt=0):
-        time.sleep(self.delay)
+        self.clock.now += self.delay
         return self.inner.generate(kind, fingerprint, prompt, attempt)
 
 
@@ -219,10 +231,12 @@ def test_latency_empty_batch():
     assert report == {"per_sample": {}, "mean_seconds": None}
 
 
-def test_latency_injected_delay():
+def test_latency_injected_delay(monkeypatch):
+    clock = _Clock()
+    monkeypatch.setattr(pipeline, "time", clock)
     samples = [CQRSample(f"s{i}", [], "q", set()) for i in range(4)]
     inner = ScriptedMock().add("trajectory", "Q: q", "[Clarification] c [Rewrite] r")
-    client = _SlowClient(inner, 0.05)
+    client = _SlowClient(inner, 0.05, clock)
     report = measure_latency(samples, client, InferenceConfig())
     assert 0.05 <= report["mean_seconds"] <= 0.06
 
