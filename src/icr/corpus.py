@@ -210,21 +210,25 @@ def load_cqr_dataset(path: str) -> list[CQRSample]:
 
     Raises:
         MalformedRecord: unparseable JSON, invalid turn content, a
-            ``gold_passage_ids`` that is not a list of strings or integers,
-            or a repeated ``sample_id``.
+            ``query`` or history ``query``/``answer`` that is not a string,
+            a ``sample_id`` or a ``gold_passage_ids`` entry that is not a
+            string or an integer, or a repeated ``sample_id``.
         MissingField: a required field is absent.
     """
     samples: list[CQRSample] = []
     first_line: dict[str, int] = {}
     for line_no, obj in read_jsonl(path):
-        sample_id = str(_require(obj, "sample_id", path, line_no))
+        sample_id = _require(obj, "sample_id", path, line_no)
+        if isinstance(sample_id, bool) or not isinstance(sample_id, (str, int)):
+            raise MalformedRecord(path, line_no, "sample_id must be a string or an integer")
+        sample_id = str(sample_id)
         if sample_id in first_line:
             raise MalformedRecord(
                 path, line_no, f"sample_id {sample_id!r} repeats line {first_line[sample_id]}"
             )
         first_line[sample_id] = line_no
         raw_history = _require(obj, "history", path, line_no)
-        query = str(_require(obj, "query", path, line_no))
+        query = _require(obj, "query", path, line_no)
         gold = _require(obj, "gold_passage_ids", path, line_no)
         if not isinstance(raw_history, list):
             raise MalformedRecord(path, line_no, "history is not a list")
@@ -236,9 +240,14 @@ def load_cqr_dataset(path: str) -> list[CQRSample]:
                 raise MissingField(f"history[{i}].query", path, line_no)
             if "answer" not in t:
                 raise MissingField(f"history[{i}].answer", path, line_no)
+            for name in ("query", "answer"):
+                if not isinstance(t[name], str):
+                    raise MalformedRecord(path, line_no, f"history[{i}].{name} must be a string")
             if not t["query"]:
                 raise MalformedRecord(path, line_no, f"history[{i}].query is empty")
-            history.append(Turn(str(t["query"]), str(t["answer"])))
+            history.append(Turn(t["query"], t["answer"]))
+        if not isinstance(query, str):
+            raise MalformedRecord(path, line_no, "query must be a string")
         if not query:
             raise MalformedRecord(path, line_no, "query is empty")
         if not isinstance(gold, list) or any(isinstance(g, bool) or not isinstance(g, (str, int)) for g in gold):

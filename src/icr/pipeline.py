@@ -60,7 +60,6 @@ class InferenceResult:
     queries: list[str]
     per_query_runs: list[RankedList]
     fused: RankedList
-    latency_seconds: float = 0.0
     used_fallback: bool = False
 
 
@@ -145,17 +144,14 @@ def run_batch(
     """Run inference over samples; results keyed by retriever name, in
     sample order.
 
-    Generation happens once per sample and its wall-clock time (retrieval
-    excluded) is recorded on every retriever's result. Samples run
-    concurrently up to the client's ``max_in_flight``, which never exceeds
-    its in-flight slots, so the time measured is the generator's own.
+    Generation happens once per sample, and every retriever's result
+    shares it. Samples run concurrently up to the client's
+    ``max_in_flight``, which never exceeds its in-flight slots.
     """
     searchers = _searchers(config, sparse, dense, provider)
 
     def infer(client, sample: CQRSample) -> dict[str, InferenceResult]:
-        start = time.perf_counter()
         text = run_inference(sample, client, config)
-        latency = time.perf_counter() - start
         queries = extract_queries(text)
         out = {}
         for name, searcher in searchers.items():
@@ -168,7 +164,6 @@ def run_batch(
                 queries=list(queries),
                 per_query_runs=runs,
                 fused=fused,
-                latency_seconds=latency,
                 used_fallback=used_fallback,
             )
         return out

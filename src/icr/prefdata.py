@@ -50,28 +50,6 @@ class PreferencePair:
         return asdict(self)
 
 
-def make_overthinking(
-    trajectory: Trajectory,
-    sample: CQRSample,
-    client,
-    sparse: SparseIndex | None,
-    dense: DenseIndex | None,
-    provider: EmbeddingProvider | None,
-    config: CrdgConfig,
-    multi: bool = False,
-    rng: random.Random | None = None,
-) -> Trajectory | None:
-    """Extend a trajectory with redundant steps; None if not constructible.
-
-    With ``multi`` the number of redundant steps is drawn uniformly from
-    {1, 2, 3, 4}; otherwise one step is appended.
-    """
-    if not trajectory.steps:
-        return None
-    k = _redundant_steps(multi, rng or random.Random())
-    return extend_redundantly(trajectory, sample, client, sparse, dense, provider, config, k)
-
-
 def _redundant_steps(multi: bool, rng: random.Random) -> int:
     return rng.choice([1, 2, 3, 4]) if multi else 1
 

@@ -1,11 +1,17 @@
-"""File writers for test fixtures: the inverse of the ``icr.corpus`` loaders."""
+"""Test-only helpers: file writers for fixtures (the inverse of the
+``icr.corpus`` loaders) and ``make_overthinking``."""
 
 from __future__ import annotations
 
 import json
+import random
 from typing import Iterable, Sequence
 
 from icr.corpus import CQRSample, Passage, Qrels, _infer_format
+from icr.crdg import CrdgConfig, Trajectory
+from icr.dense_index import DenseIndex, EmbeddingProvider
+from icr.prefdata import _redundant_steps, extend_redundantly
+from icr.sparse_index import SparseIndex
 
 
 def write_collection(passages: Iterable[Passage], path: str, format: str | None = None) -> None:
@@ -34,3 +40,25 @@ def write_qrels(qrels: Qrels, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for (sid, pid), grade in sorted(qrels.grades.items()):
             fh.write(f"{sid} 0 {pid} {grade}\n")
+
+
+def make_overthinking(
+    trajectory: Trajectory,
+    sample: CQRSample,
+    client,
+    sparse: SparseIndex | None,
+    dense: DenseIndex | None,
+    provider: EmbeddingProvider | None,
+    config: CrdgConfig,
+    multi: bool = False,
+    rng: random.Random | None = None,
+) -> Trajectory | None:
+    """Extend a trajectory with redundant steps; None if not constructible.
+
+    With ``multi`` the number of redundant steps is drawn uniformly from
+    {1, 2, 3, 4}; otherwise one step is appended.
+    """
+    if not trajectory.steps:
+        return None
+    k = _redundant_steps(multi, rng or random.Random())
+    return extend_redundantly(trajectory, sample, client, sparse, dense, provider, config, k)

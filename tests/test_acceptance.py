@@ -20,7 +20,7 @@ from icr.fusion import FusionConfig, fuse
 from icr.genclient import ScriptedMock, clarify_fingerprint, rewrite_fingerprint
 from icr.manifest import load_manifest
 from icr.pipeline import InferenceConfig, retrieve_and_fuse, sparse_searcher
-from icr.prefdata import make_insufficient_decomposition, make_overthinking, make_underthinking
+from icr.prefdata import make_insufficient_decomposition, make_underthinking
 from icr.ranking import RankedList
 from icr.sftdata import sft_record
 from icr.sparse_index import Bm25Params, build_sparse_index, search_sparse, tokenize
@@ -33,6 +33,7 @@ from .conftest import (
     tier_query,
 )
 from .oracles import oracle_bm25_topk, oracle_mrr, oracle_ndcg3, oracle_recall
+from .support import make_overthinking
 from .test_pipeline import FIG_QUERIES, make_fig_corpus
 from .test_prefdata import _trajectory
 

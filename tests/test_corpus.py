@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from icr.cli import main
 from icr.corpus import (
     CQRSample,
     Passage,
@@ -199,6 +200,49 @@ def test_load_cqr_dataset_gold_ids_must_be_a_list_of_strings_or_integers(tmp_pat
         load_cqr_dataset(str(path))
     assert (err.value.path, err.value.line_no) == (str(path), 1)
     assert err.value.reason == "gold_passage_ids must be a list of strings or integers"
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("query", 5, "query must be a string"),
+        ("query", None, "query must be a string"),
+        ("query", ["q"], "query must be a string"),
+        ("history", [{"query": 5, "answer": "a"}], "history[0].query must be a string"),
+        ("history", [{"query": None, "answer": "a"}], "history[0].query must be a string"),
+        ("history", [{"query": "q", "answer": None}], "history[0].answer must be a string"),
+        ("history", [{"query": "q", "answer": "a"}, {"query": "q", "answer": 0}], "history[1].answer must be a string"),
+        ("sample_id", None, "sample_id must be a string or an integer"),
+        ("sample_id", True, "sample_id must be a string or an integer"),
+        ("sample_id", 1.5, "sample_id must be a string or an integer"),
+        ("sample_id", ["s1"], "sample_id must be a string or an integer"),
+    ],
+)
+def test_load_cqr_dataset_text_fields_must_be_strings(tmp_path, field, value, reason):
+    # "query": 5 used to run as the text "5", and null as the text "None"
+    path = tmp_path / "data.jsonl"
+    good = {"sample_id": "s0", "history": [], "query": "q", "gold_passage_ids": ["p9"]}
+    record = dict(good, **{"sample_id": "s1", field: value})
+    path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as err:
+        load_cqr_dataset(str(path))
+    assert (err.value.path, err.value.line_no, err.value.reason) == (str(path), 2, reason)
+
+
+def test_load_cqr_dataset_reads_an_integer_sample_id_as_a_string(tmp_path):
+    path = tmp_path / "data.jsonl"
+    rec = {"sample_id": 7, "history": [{"query": "q0", "answer": ""}], "query": "q", "gold_passage_ids": ["p9"]}
+    path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    (sample,) = load_cqr_dataset(str(path))
+    assert (sample.sample_id, sample.history[0].answer) == ("7", "")
+
+
+def test_a_dataset_query_that_is_not_a_string_is_a_cli_data_error(tmp_path, capsys):
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps({"sample_id": "s1", "history": [], "query": 5, "gold_passage_ids": []}) + "\n")
+    out = str(tmp_path / "sft.jsonl")
+    assert main(["sftdata", "--crdg", str(tmp_path / "dcr.jsonl"), "--dataset", str(path), "--out", out]) == 2
+    assert capsys.readouterr().err == f"data error: {path}:1: query must be a string\n"
 
 
 def test_load_cqr_dataset_reads_integer_gold_ids_as_strings(tmp_path):

@@ -14,11 +14,11 @@ from icr.genclient import ScriptedMock, clarify_fingerprint, rewrite_fingerprint
 from icr.prefdata import (
     build_pref_dataset,
     make_insufficient_decomposition,
-    make_overthinking,
     make_underthinking,
 )
 
 from .conftest import tier_query
+from .support import make_overthinking
 
 
 def _fake_quality(f: float) -> QualityScore:
