@@ -14,13 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
+import threading
 
 from . import crdg as crdg_mod
 from . import prefdata as prefdata_mod
 from . import sftdata as sftdata_mod
 from .config import Config, load_config
-from .corpus import load_collection, load_cqr_dataset, load_qrels
+from .corpus import load_collection, load_cqr_dataset, load_qrels, replacing
 from .dense_index import (
     HashEmbeddingProvider,
     RemoteEmbeddingProvider,
@@ -97,7 +99,7 @@ def _dataset(args, config: Config):
 
 def _write_report(kind: str, report: dict, samples: int, path: str) -> None:
     """Write a JSON report to ``path`` and print a one-line summary."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as temp, open(temp, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
     print(f"wrote {kind} report over {samples} samples -> {path}")
 
@@ -367,8 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and write its manifest at ``<--out>.manifest.json``
-    (``verify`` has no ``--out`` and writes none)."""
+    (``verify`` has no ``--out`` and writes none). In the main thread,
+    SIGTERM meanwhile raises ``SystemExit(143)``, so every clean-up runs."""
     parser = build_parser()
+    main_thread = threading.current_thread() is threading.main_thread()
+    if main_thread:
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         args = parser.parse_args(argv)
         config = load_config(args.config)
@@ -393,6 +399,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        if main_thread:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ construction and are safe to share across threads.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import Iterator, TextIO
 
@@ -122,6 +123,25 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
 def _jsonl_line(obj) -> str:
     """One JSONL record in the compact encoding every dataset writer uses."""
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+@contextmanager
+def replacing(path: str) -> Iterator[str]:
+    """Yield a new sibling, ``<path>.<hex>.tmp``, to write in place of ``path``,
+    made with the mode ``open(path, "w")`` would give. One rename puts it over
+    ``path`` if the block succeeds; any exception removes it instead. An
+    OSError about the sibling is raised as one naming ``path``."""
+    temp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        yield temp
+        os.replace(temp, path)
+    except BaseException as e:
+        with suppress(FileNotFoundError):
+            os.remove(temp)
+        if isinstance(e, OSError) and e.filename == temp:
+            raise OSError(e.errno, e.strerror, path) from None
+        raise
 
 
 @contextmanager

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import CQRSample, _jsonl_line, _require, read_jsonl
+from .corpus import CQRSample, _jsonl_line, _require, read_jsonl, replacing
 from .dense_index import DenseIndex, EmbeddingProvider
 from .errors import DataError, EmptyResponse, MalformedRecord, ProviderError, ProviderUnavailable
 from .evaluation import QualityScore, f_score, quality_from_dict
@@ -359,8 +359,6 @@ def _resume(out_path: str) -> set[str]:
             done.add(_require(record, "sample_id", out_path, line_no))
             kept.append(line)
     if dropped:
-        tmp = out_path + ".tmp"
-        with open(tmp, "wb") as fh:
+        with replacing(out_path) as temp, open(temp, "wb") as fh:
             fh.writelines(kept)
-        os.replace(tmp, out_path)
     return done

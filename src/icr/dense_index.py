@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Protocol
 
 import numpy as np
 
-from .corpus import Passage
+from .corpus import Passage, replacing
 from .errors import (
     DataError,
     DimensionMismatch,
@@ -216,16 +216,13 @@ def save_dense_index(index: DenseIndex, path: str) -> None:
         "dim": index.dim,
         "ids": index.ids,
     }
-    with open(os.path.join(path, "meta.json"), "w", encoding="utf-8") as fh:
+    with replacing(os.path.join(path, "meta.json")) as temp, open(temp, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-    with open(os.path.join(path, "id_rank.npy"), "wb") as fh:
+    with replacing(os.path.join(path, "id_rank.npy")) as temp, open(temp, "wb") as fh:
         np.save(fh, index.id_rank.astype(np.min_scalar_type(index.doc_count)))
-    # written beside and renamed over, so a process that has the old file
-    # mapped keeps reading it instead of faulting on a truncated map
-    vectors = os.path.join(path, "vectors.npy")
-    with open(vectors + ".tmp", "wb") as fh:
+    # a process that maps the old vectors keeps reading them, not a cut file
+    with replacing(os.path.join(path, "vectors.npy")) as temp, open(temp, "wb") as fh:
         np.save(fh, index.vectors)
-    os.replace(vectors + ".tmp", vectors)
 
 
 def load_dense_index(path: str) -> DenseIndex:

@@ -23,7 +23,6 @@ samples concurrently and hands back their results in input order.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -166,17 +165,6 @@ class ScriptedMock:
                 raise MalformedRecord(path, line_no, f"attempt {obj['attempt']!r} is not an integer") from None
             mock.add(*entry, attempt)
         return mock
-
-    def to_jsonl(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for (kind, fingerprint, attempt), response in self.script.items():
-                fh.write(
-                    json.dumps(
-                        {"kind": kind, "fingerprint": fingerprint, "attempt": attempt, "response": response},
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
 
 
 class _RateLimiter:

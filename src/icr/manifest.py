@@ -26,6 +26,7 @@ import subprocess
 import time
 from datetime import datetime, timezone
 
+from .corpus import replacing
 from .errors import DataError
 
 
@@ -169,7 +170,7 @@ class RunManifest:
         hashed = {p: _hash_output(p) for p in self.outputs}
         payload["outputs"] = {p: digest for p, (digest, _) in hashed.items()}
         payload["output_stats"] = {p: record for p, (_, record) in hashed.items() if record is not None}
-        with open(path, "w", encoding="utf-8") as fh:
+        with replacing(path) as temp, open(temp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
             fh.write("\n")
         return path

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .corpus import CQRSample
+from .corpus import CQRSample, replacing
 from .crdg import _format_pairs, parse_trajectory
 from .dense_index import DenseIndex, EmbeddingProvider, search_dense
 from .errors import DataError, MissingScriptEntry
@@ -177,25 +178,31 @@ def run_batch(
 
 def emit_run(results: Sequence[InferenceResult], path: str, tag: str = "ICR") -> int:
     """Write fused lists as a TREC run; returns the count of empty lists."""
-    empty = write_run((r.fused for r in results), path, tag=tag)
+    with replacing(path) as temp:
+        empty = write_run((r.fused for r in results), temp, tag=tag)
     if empty:
         logger.warning("%d sample(s) produced an empty fused list", empty)
     return empty
 
 
 def emit_per_query_runs(results: Sequence[InferenceResult], directory: str, tag: str = "ICR") -> list[str]:
-    """Write one TREC run file per iteration index (iter_01.trec, ...).
+    """Write one TREC run file per iteration index (iter_01.trec, ...) and
+    remove any deeper one that an earlier run left.
 
     Samples with fewer rewrites simply do not appear in the later files, so
     fusing the files in name order reproduces the in-memory fusion.
     """
     os.makedirs(directory, exist_ok=True)
     depth = max((len(r.per_query_runs) for r in results), default=0)
+    for name in os.listdir(directory):
+        if re.fullmatch(r"iter_(0[1-9]|[1-9]\d+)\.trec", name) and int(name[5:-5]) > depth:
+            os.remove(os.path.join(directory, name))
     paths = []
     for i in range(depth):
         path = os.path.join(directory, f"iter_{i + 1:02d}.trec")
         lists = [r.per_query_runs[i] for r in results if len(r.per_query_runs) > i]
-        write_run(lists, path, tag=tag)
+        with replacing(path) as temp:
+            write_run(lists, temp, tag=tag)
         paths.append(path)
     return paths
 

@@ -24,7 +24,7 @@ import random
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple, Sequence
 
-from .corpus import CQRSample, _jsonl_line
+from .corpus import CQRSample, _jsonl_line, replacing
 from .crdg import CrdgConfig, Trajectory, TrajectoryStep, _next_step, serialize_trajectory
 from .dense_index import DenseIndex, EmbeddingProvider
 from .errors import DataError, ProviderError
@@ -209,7 +209,7 @@ def build_pref_dataset(
             return e
 
     stats = PrefStats()
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with replacing(out_path) as temp, open(temp, "w", encoding="utf-8") as fh:
 
         def emit(obj: dict) -> None:
             fh.write(_jsonl_line(obj))

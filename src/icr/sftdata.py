@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .corpus import CQRSample, _jsonl_line
+from .corpus import CQRSample, _jsonl_line, replacing
 from .crdg import _SEGMENT_RE, CLARIFICATION_MARKER, REWRITE_MARKER, _is_good
 from .errors import DataError, MalformedTrajectory
 from .genclient import render_conversation
@@ -133,7 +133,7 @@ def emit_sft_dataset(
     """
     by_id = {s.sample_id: s for s in samples}
     stats = SftStats()
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with replacing(out_path) as temp, open(temp, "w", encoding="utf-8") as fh:
         for record in crdg_records:
             if not _is_good(record):
                 stats.skipped_errors += 1

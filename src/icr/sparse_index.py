@@ -33,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import Passage
+from .corpus import Passage, replacing
 from .errors import DataError, DuplicateId, EmptyCollection
 from .ranking import RankedList, id_ranks, stored_id_ranks, top_k
 
@@ -228,7 +228,7 @@ def save_sparse_index(index: SparseIndex, path: str) -> None:
         "doc_lengths": _narrow(index.doc_lengths),
         "id_rank": _narrow(index.id_rank),
     }
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
+    with replacing(path) as temp, zipfile.ZipFile(temp, "w", compression=zipfile.ZIP_DEFLATED) as zf:
         for name in _MEMBERS:
             buf = io.BytesIO()
             np.lib.format.write_array(buf, _to_planes(arrays[name]), allow_pickle=False)

@@ -5,9 +5,10 @@ query shards. Each splits its work between this process and forked workers,
 one process per usable CPU. A worker reports only success or failure, by its
 exit code. This process redoes a failed worker's share itself, so the bytes
 written and the errors raised are those of a single process. Every worker
-is reaped and every temporary file removed, on success, on an error and on
-Ctrl-C. The workers run ``read_run``, ``fuse`` and ``write_run``, none of
-which calls BLAS, so numpy's BLAS threads are never used after a fork.
+is reaped and every temporary file removed, on success, on an error, on
+Ctrl-C and on SIGTERM. The workers run ``read_run``, ``fuse`` and
+``write_run``, none of which calls BLAS, so numpy's BLAS threads are never
+used after a fork.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import contextlib
 import os
 import shutil
 import signal
-import tempfile
 from typing import BinaryIO, Callable, Sequence
 
+from .corpus import replacing
 from .ranking import Run, read_run
 
 def usable_cpus() -> int:
@@ -146,38 +147,30 @@ def _send_runs(paths: Sequence[str], share: list[int], fd: int, close: list[int]
 
 def write_shards(items: Sequence, write: Callable[[Sequence, str], object], out: str) -> None:
     """``write(items, out)``, with ``items`` cut into contiguous shards, one
-    per usable CPU. Each worker writes its shard into a temporary sibling of
-    ``out``; this process writes the first shard into ``out`` and then
-    appends the others in order. If a temporary file cannot be made or a
-    worker fails, this process writes ``out`` whole itself."""
+    per usable CPU, and ``out`` replaced whole (``corpus.replacing``). This
+    process writes the first shard into the replacement; each worker writes
+    its shard into a file named after it, which is then appended. If a
+    worker fails, this process writes the replacement whole itself."""
     n = max(1, min(usable_cpus(), len(items)))
     bounds = [len(items) * s // n for s in range(n + 1)]
-    temps: list[str] = []
-    try:
+    with replacing(out) as temp:
+        shards = [f"{temp}.{s}" for s in range(1, n)]
         try:
-            for _ in range(n - 1):
-                fd, temp = tempfile.mkstemp(
-                    suffix=".part", prefix=os.path.basename(out) + ".", dir=os.path.dirname(os.path.abspath(out))
-                )
-                os.close(fd)
-                temps.append(temp)
-        except OSError:
-            bounds = [0, len(items)]
-        with _Workers() as workers:
-            pids = [
-                workers.fork(lambda shard=items[bounds[s] : bounds[s + 1]], temp=temps[s - 1]: write(shard, temp))
-                for s in range(1, len(bounds) - 1)
-            ]
-            write(items[: bounds[1]], out)
-            whole = all([workers.succeeded(pid) for pid in pids])
-        if not whole:
-            write(items, out)
-        elif pids:
-            with open(out, "ab") as dst:
-                for temp in temps:
-                    with open(temp, "rb") as src:
-                        shutil.copyfileobj(src, dst)
-    finally:
-        for temp in temps:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(temp)
+            with _Workers() as workers:
+                pids = [
+                    workers.fork(lambda shard=items[bounds[s] : bounds[s + 1]], path=shards[s - 1]: write(shard, path))
+                    for s in range(1, n)
+                ]
+                write(items[: bounds[1]], temp)
+                whole = all([workers.succeeded(pid) for pid in pids])
+            if not whole:
+                write(items, temp)
+            elif pids:
+                with open(temp, "ab") as dst:
+                    for shard in shards:
+                        with open(shard, "rb") as src:
+                            shutil.copyfileobj(src, dst)
+        finally:
+            for shard in shards:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(shard)

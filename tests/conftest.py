@@ -2,12 +2,29 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from icr.corpus import CQRSample, Passage, Turn
 from icr.dense_index import HashEmbeddingProvider, build_dense_index
 from icr.genclient import ScriptedMock, clarify_fingerprint, rewrite_fingerprint
 from icr.sparse_index import Bm25Params, build_sparse_index
+
+# The temporary sibling ``corpus.replacing`` writes an output into
+# (``<path>.<hex>.tmp``), and the worker shard files named after it.
+TEMPORARY_NAME = re.compile(r"\.[0-9a-f]{16}\.tmp")
+
+
+@pytest.fixture(autouse=True)
+def no_temporary_file_left(request):
+    """Fail a test that leaves a temporary output file under its tmp_path."""
+    root = request.getfixturevalue("tmp_path") if "tmp_path" in request.fixturenames else None
+    yield
+    if root is not None:
+        left = sorted(str(p.relative_to(root)) for p in root.rglob("*") if TEMPORARY_NAME.search(p.name))
+        assert not left, f"temporary files left behind: {left}"
+
 
 # Tiered vocabulary corpus. The gold passage holds tokens t1..t11; the
 # tier-i distractor holds t1..ti (i tokens, shorter than gold). A query
@@ -108,7 +125,7 @@ def build_cli_workspace(root) -> dict[str, str]:
     files for end-to-end CLI runs over the tier corpus."""
     from icr.corpus import Qrels
 
-    from .support import write_collection, write_cqr_dataset, write_qrels
+    from .support import write_collection, write_cqr_dataset, write_mock_script, write_qrels
 
     root.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -142,7 +159,7 @@ def build_cli_workspace(root) -> dict[str, str]:
     )
     mock.add("trajectory", "Q: kelpie", "[Clarification] what is a kelpie? [Rewrite] kelpie jackal")
     mock.add("trajectory", "Q: amber", "[Clarification] which amber? [Rewrite] amber bison cedar dingo")
-    mock.to_jsonl(paths["script"])
+    write_mock_script(mock, paths["script"])
 
     with open(paths["config"], "w", encoding="utf-8") as fh:
         fh.write("# desk-scale defaults\n")

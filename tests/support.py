@@ -1,5 +1,6 @@
 """Test-only helpers: file writers for fixtures (the inverse of the
-``icr.corpus`` loaders) and ``make_overthinking``."""
+``icr.corpus`` loaders and of ``ScriptedMock.from_jsonl``) and
+``make_overthinking``."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from typing import Iterable, Sequence
 from icr.corpus import CQRSample, Passage, Qrels, _infer_format
 from icr.crdg import CrdgConfig, Trajectory
 from icr.dense_index import DenseIndex, EmbeddingProvider
+from icr.genclient import ScriptedMock
 from icr.prefdata import _redundant_steps, extend_redundantly
 from icr.sparse_index import SparseIndex
 
@@ -40,6 +42,14 @@ def write_qrels(qrels: Qrels, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for (sid, pid), grade in sorted(qrels.grades.items()):
             fh.write(f"{sid} 0 {pid} {grade}\n")
+
+
+def write_mock_script(mock: ScriptedMock, path: str) -> None:
+    """The inverse of ``ScriptedMock.from_jsonl``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for (kind, fingerprint, attempt), response in mock.script.items():
+            record = {"kind": kind, "fingerprint": fingerprint, "attempt": attempt, "response": response}
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def make_overthinking(

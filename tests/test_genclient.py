@@ -28,6 +28,8 @@ from icr.genclient import (
     run_in_order,
 )
 
+from .support import write_mock_script
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -105,7 +107,7 @@ def test_mock_jsonl_roundtrip(tmp_path):
         .add("rewrite", "q\nc?", "r", attempt=2)
     )
     path = tmp_path / "script.jsonl"
-    mock.to_jsonl(str(path))
+    write_mock_script(mock, str(path))
     loaded = ScriptedMock.from_jsonl(str(path))
     assert loaded.script == mock.script
 
