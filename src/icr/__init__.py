@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .corpus import CQRSample, Passage, Qrels, Turn
 from .crdg import CrdgConfig, Trajectory, TrajectoryStep, generate_trajectory
 from .dense_index import DenseIndex, HashEmbeddingProvider, build_dense_index, search_dense
-from .evaluation import MetricSet, QualityScore, f_score
+from .evaluation import Indexes, MetricSet, QualityScore, f_score
 from .fusion import FusionConfig, fuse
 from .genclient import RemoteChatClient, ScriptedMock
 from .pipeline import InferenceConfig, InferenceResult, run_batch
@@ -20,6 +20,7 @@ __all__ = [
     "DenseIndex",
     "FusionConfig",
     "HashEmbeddingProvider",
+    "Indexes",
     "InferenceConfig",
     "InferenceResult",
     "MetricSet",

@@ -31,7 +31,7 @@ from .dense_index import (
     save_dense_index,
 )
 from .errors import DataError, MissingRequired, ProviderError
-from .evaluation import MODE_RETRIEVERS, delta_f_profile, evaluate_run, gsr, lsr
+from .evaluation import MODE_RETRIEVERS, Indexes, delta_f_profile, evaluate_run, gsr, lsr
 from .fusion import FusionConfig, fuse
 from .genclient import RemoteChatClient, ScriptedMock
 from .manifest import RunManifest, load_manifest, verify_outputs
@@ -73,23 +73,17 @@ def _make_provider(args, config: Config):
     return HashEmbeddingProvider(dim=config.dense_dim)
 
 
-def _load_indexes(args, mode: str):
+def _load_indexes(args, mode: str) -> Indexes:
     """The indexes (and the dense side's provider) that ``mode`` searches."""
     need_sparse, need_dense = MODE_RETRIEVERS[mode]
-    sparse = dense = provider = None
-    if need_sparse:
-        sparse = load_sparse_index(_require_path(args.sparse_index, "--sparse-index"))
-    if need_dense:
-        dense = load_dense_index(_require_path(args.dense_index, "--dense-index"))
-        if dense.provider_name.startswith("hash-"):
-            provider = HashEmbeddingProvider(dim=dense.dim)
-        else:
-            provider = RemoteEmbeddingProvider(
-                _require_path(args.embed_url, "--embed-url"),
-                dim=dense.dim,
-                name=dense.provider_name,
-            )
-    return sparse, dense, provider
+    sparse = load_sparse_index(_require_path(args.sparse_index, "--sparse-index")) if need_sparse else None
+    if not need_dense:
+        return Indexes(sparse)
+    dense = load_dense_index(_require_path(args.dense_index, "--dense-index"))
+    if dense.provider_name.startswith("hash-"):
+        return Indexes(sparse, dense, HashEmbeddingProvider(dim=dense.dim))
+    url = _require_path(args.embed_url, "--embed-url")
+    return Indexes(sparse, dense, RemoteEmbeddingProvider(url, dim=dense.dim, name=dense.provider_name))
 
 
 def _dataset(args, config: Config):
@@ -129,11 +123,9 @@ def cmd_embed_index(args, config: Config) -> tuple[list, list]:
 
 def cmd_crdg(args, config: Config) -> tuple[list, list]:
     dataset_path, samples = _dataset(args, config)
-    sparse, dense, provider = _load_indexes(args, config.crdg.f_mode)
+    indexes = _load_indexes(args, config.crdg.f_mode)
     client = _make_client(args, config)
-    stats = crdg_mod.build_crdg_dataset(
-        samples, client, sparse, dense, provider, config.crdg, args.out, seed=args.seed
-    )
+    stats = crdg_mod.build_crdg_dataset(samples, client, indexes, config.crdg, args.out, seed=args.seed)
     print(f"trajectories written={stats.written} skipped={stats.skipped} errors={stats.errors}")
     return [dataset_path, args.sparse_index, args.dense_index, args.mock_script], [args.out]
 
@@ -141,11 +133,10 @@ def cmd_crdg(args, config: Config) -> tuple[list, list]:
 def cmd_prefdata(args, config: Config) -> tuple[list, list]:
     dataset_path, samples = _dataset(args, config)
     trajectories = crdg_mod.load_trajectories(args.crdg)
-    sparse, dense, provider = _load_indexes(args, config.crdg.f_mode)
+    indexes = _load_indexes(args, config.crdg.f_mode)
     client = _make_client(args, config)
     stats = prefdata_mod.build_pref_dataset(
-        trajectories, samples, client, sparse, dense, provider, config.crdg,
-        args.out, seed=args.seed, multi_ot=args.multi_ot,
+        trajectories, samples, client, indexes, config.crdg, args.out, seed=args.seed, multi_ot=args.multi_ot
     )
     print(
         f"pairs ot={stats.ot} ut={stats.ut} id={stats.id} "
@@ -171,9 +162,9 @@ def cmd_infer(args, config: Config) -> tuple[list, list]:
     if args.retriever:
         inference.retriever = args.retriever
     inference.step_wise = args.step_wise
-    sparse, dense, provider = _load_indexes(args, inference.retriever)
+    indexes = _load_indexes(args, inference.retriever)
     client = _make_client(args, config)
-    results = run_batch(samples, client, inference, sparse, dense, provider)
+    results = run_batch(samples, client, inference, indexes)
     outputs = []
     single = len(results) == 1
     for name, batch in results.items():

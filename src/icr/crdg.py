@@ -24,11 +24,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import CQRSample, _jsonl_line, _require, read_jsonl, replacing
-from .dense_index import DenseIndex, EmbeddingProvider
 from .errors import DataError, EmptyResponse, MalformedRecord, ProviderError, ProviderUnavailable
-from .evaluation import QualityScore, f_score, quality_from_dict
+from .evaluation import F_MODES, Indexes, QualityScore, f_score, quality_from_dict
 from .genclient import generate_clarification, generate_rewrite, run_in_order
-from .sparse_index import SparseIndex
 
 CLARIFICATION_MARKER = "[Clarification]"
 REWRITE_MARKER = "[Rewrite]"
@@ -84,14 +82,14 @@ class CrdgConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.resample_budget < 0:
             raise ValueError(f"resample_budget must be >= 0, got {self.resample_budget}")
+        if self.f_mode not in F_MODES:
+            raise ValueError(f"unknown f_mode {self.f_mode!r}")
 
 
 def generate_trajectory(
     sample: CQRSample,
     client,
-    sparse: SparseIndex | None,
-    dense: DenseIndex | None,
-    provider: EmbeddingProvider | None,
+    indexes: Indexes,
     config: CrdgConfig,
 ) -> Trajectory:
     """Run the acceptance loop for one sample.
@@ -104,7 +102,7 @@ def generate_trajectory(
 
     @functools.cache
     def score(text: str) -> QualityScore:
-        return f_score(text, sample, sparse, dense, provider, config.f_mode)
+        return f_score(text, sample, indexes, config.f_mode)
 
     f0 = score(sample.query)
     traj = Trajectory(sample.sample_id, sample.query, f0)
@@ -281,9 +279,7 @@ class BuildStats:
 def build_crdg_dataset(
     samples: Sequence[CQRSample],
     client,
-    sparse: SparseIndex | None,
-    dense: DenseIndex | None,
-    provider: EmbeddingProvider | None,
+    indexes: Indexes,
     config: CrdgConfig,
     out_path: str,
     seed: int = 0,
@@ -311,9 +307,7 @@ def build_crdg_dataset(
 
     def build(client, sample: CQRSample) -> dict:
         try:
-            return trajectory_to_record(
-                generate_trajectory(sample, client, sparse, dense, provider, config)
-            )
+            return trajectory_to_record(generate_trajectory(sample, client, indexes, config))
         except (DataError, ProviderError) as e:
             return {"sample_id": sample.sample_id, "error": str(e)}
 

@@ -207,8 +207,16 @@ def search_dense(
 
 def save_dense_index(index: DenseIndex, path: str) -> None:
     """Persist as a directory: meta.json (version header), vectors.npy and
-    id_rank.npy (the id ranks, narrowed, so a load does not sort the ids)."""
+    id_rank.npy (the id ranks, narrowed, so a load does not sort the ids).
+
+    A directory holding any other entry is refused, before anything is
+    written, since a manifest's digest of the index covers the whole
+    directory.
+    """
     os.makedirs(path, exist_ok=True)
+    foreign = sorted(set(os.listdir(path)) - {"meta.json", "id_rank.npy", "vectors.npy"})
+    if foreign:
+        raise DataError(f"{path}: {foreign[0]!r} is not a dense index file; remove it or save elsewhere")
     meta = {
         "format": DENSE_FORMAT,
         "version": DENSE_VERSION,

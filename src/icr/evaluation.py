@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import CQRSample, Qrels
 from .dense_index import DenseIndex, EmbeddingProvider, search_dense
-from .errors import GoldMissingFromCollection
+from .errors import DataError, GoldMissingFromCollection
 from .ranking import RankedList
 from .sparse_index import SparseIndex, search_sparse
 
@@ -117,14 +117,35 @@ def metric_set(ranked: RankedList, relevant: set[str], grades: Mapping[str, int]
     )
 
 
-def f_score(
-    query_text: str,
-    sample: CQRSample,
-    sparse: SparseIndex | None = None,
-    dense: DenseIndex | None = None,
-    provider: EmbeddingProvider | None = None,
-    mode: str = "both",
-) -> QualityScore:
+@dataclass(frozen=True)
+class Indexes:
+    """The indexes that F and inference search; a side left None is never
+    searched, and the dense side embeds queries with ``provider``."""
+
+    sparse: SparseIndex | None = None
+    dense: DenseIndex | None = None
+    provider: EmbeddingProvider | None = None
+
+    def searched(self, mode: str) -> tuple[str, ...]:
+        """The sides an F mode or an inference retriever searches, sparse
+        first; raises DataError when one of them is missing."""
+        if mode not in MODE_RETRIEVERS:
+            raise ValueError(f"unknown mode {mode!r}")
+        names = tuple(name for name, used in zip(("sparse", "dense"), MODE_RETRIEVERS[mode]) if used)
+        if "sparse" in names and self.sparse is None:
+            raise DataError(f"{mode!r} requires a sparse index")
+        if "dense" in names and (self.dense is None or self.provider is None):
+            raise DataError(f"{mode!r} requires a dense index and embedding provider")
+        return names
+
+    def search(self, name: str, query: str, k: int, tag: str | None = None) -> RankedList:
+        """Top-k of one side, ``"sparse"`` or ``"dense"``."""
+        if name == "sparse":
+            return search_sparse(self.sparse, query, k, tag=tag)
+        return search_dense(self.dense, query, k, self.provider, tag=tag)
+
+
+def f_score(query_text: str, sample: CQRSample, indexes: Indexes, mode: str = "both") -> QualityScore:
     """Composite quality of a (rewritten) query against the sample's gold set.
 
     Runs the retrievers the mode asks for at depth 100 and sums their
@@ -132,37 +153,14 @@ def f_score(
     modes. Raises GoldMissingFromCollection when a gold passage is absent
     from an index that is about to be searched.
     """
-    if mode not in F_MODES:
-        raise ValueError(f"unknown f mode {mode!r}")
+    names = indexes.searched(mode)
     gold = set(sample.gold_passage_ids)
-    use_sparse, use_dense = MODE_RETRIEVERS[mode]
-    if use_sparse and sparse is None:
-        raise ValueError("mode requires a sparse index")
-    if use_dense and (dense is None or provider is None):
-        raise ValueError("mode requires a dense index and provider")
-    missing: set[str] = set()
-    if use_sparse:
-        missing |= {g for g in gold if g not in sparse}
-    if use_dense:
-        missing |= {g for g in gold if g not in dense}
+    missing = {g for name in names for g in gold if g not in getattr(indexes, name)}
     if missing:
         raise GoldMissingFromCollection(missing)
-    sparse_metrics = (
-        metric_set(search_sparse(sparse, query_text, F_DEPTH, tag=sample.sample_id), gold)
-        if use_sparse
-        else ZERO_METRICS
-    )
-    dense_metrics = (
-        metric_set(search_dense(dense, query_text, F_DEPTH, provider, tag=sample.sample_id), gold)
-        if use_dense
-        else ZERO_METRICS
-    )
-    return QualityScore(
-        f=sparse_metrics.total() + dense_metrics.total(),
-        sparse=sparse_metrics,
-        dense=dense_metrics,
-        mode=mode,
-    )
+    metrics = {name: metric_set(indexes.search(name, query_text, F_DEPTH, sample.sample_id), gold) for name in names}
+    sparse, dense = metrics.get("sparse", ZERO_METRICS), metrics.get("dense", ZERO_METRICS)
+    return QualityScore(f=sparse.total() + dense.total(), sparse=sparse, dense=dense, mode=mode)
 
 
 def lsr(paths: Sequence[Sequence[float]]) -> float:

@@ -13,6 +13,7 @@ the result so fusion ablations can be recomputed without regenerating.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import re
@@ -22,13 +23,11 @@ from typing import Callable, Sequence
 
 from .corpus import CQRSample, replacing
 from .crdg import _format_pairs, parse_trajectory
-from .dense_index import DenseIndex, EmbeddingProvider, search_dense
-from .errors import DataError, MissingScriptEntry
-from .evaluation import MODE_RETRIEVERS
+from .errors import MissingScriptEntry
+from .evaluation import Indexes
 from .fusion import FusionConfig, fuse
 from .genclient import generate_clarification, generate_rewrite, generate_trajectory_text, run_in_order
 from .ranking import RankedList, write_run
-from .sparse_index import SparseIndex, search_sparse
 
 logger = logging.getLogger(__name__)
 
@@ -107,40 +106,11 @@ def retrieve_and_fuse(
     return runs, fused, used_fallback
 
 
-def sparse_searcher(index: SparseIndex) -> Searcher:
-    return lambda query, k, tag: search_sparse(index, query, k, tag=tag)
-
-
-def dense_searcher(index: DenseIndex, provider: EmbeddingProvider) -> Searcher:
-    return lambda query, k, tag: search_dense(index, query, k, provider, tag=tag)
-
-
-def _searchers(
-    config: InferenceConfig,
-    sparse: SparseIndex | None,
-    dense: DenseIndex | None,
-    provider: EmbeddingProvider | None,
-) -> dict[str, Searcher]:
-    want_sparse, want_dense = MODE_RETRIEVERS[config.retriever]
-    if want_sparse and sparse is None:
-        raise DataError("retriever requires a sparse index")
-    if want_dense and (dense is None or provider is None):
-        raise DataError("retriever requires a dense index and embedding provider")
-    out: dict[str, Searcher] = {}
-    if want_sparse:
-        out["sparse"] = sparse_searcher(sparse)
-    if want_dense:
-        out["dense"] = dense_searcher(dense, provider)
-    return out
-
-
 def run_batch(
     samples: Sequence[CQRSample],
     client,
     config: InferenceConfig,
-    sparse: SparseIndex | None = None,
-    dense: DenseIndex | None = None,
-    provider: EmbeddingProvider | None = None,
+    indexes: Indexes,
 ) -> dict[str, list[InferenceResult]]:
     """Run inference over samples; results keyed by retriever name, in
     sample order.
@@ -149,7 +119,7 @@ def run_batch(
     shares it. Samples run concurrently up to the client's
     ``max_in_flight``, which never exceeds its in-flight slots.
     """
-    searchers = _searchers(config, sparse, dense, provider)
+    searchers = {name: functools.partial(indexes.search, name) for name in indexes.searched(config.retriever)}
 
     def infer(client, sample: CQRSample) -> dict[str, InferenceResult]:
         text = run_inference(sample, client, config)

@@ -26,13 +26,9 @@ from typing import NamedTuple, Sequence
 
 from .corpus import CQRSample, _jsonl_line, replacing
 from .crdg import CrdgConfig, Trajectory, TrajectoryStep, _next_step, serialize_trajectory
-from .dense_index import DenseIndex, EmbeddingProvider
 from .errors import DataError, ProviderError
-from .evaluation import QualityScore, f_score
+from .evaluation import Indexes, QualityScore, f_score
 from .genclient import render_conversation, run_in_order
-from .sparse_index import SparseIndex
-
-DIMENSIONS = ("ot", "ut", "id")
 
 
 @dataclass
@@ -58,9 +54,7 @@ def extend_redundantly(
     trajectory: Trajectory,
     sample: CQRSample,
     client,
-    sparse: SparseIndex | None,
-    dense: DenseIndex | None,
-    provider: EmbeddingProvider | None,
+    indexes: Indexes,
     config: CrdgConfig,
     k: int,
 ) -> Trajectory | None:
@@ -74,7 +68,7 @@ def extend_redundantly(
 
     @functools.cache
     def score(text: str) -> QualityScore:
-        return f_score(text, sample, sparse, dense, provider, config.f_mode)
+        return f_score(text, sample, indexes, config.f_mode)
 
     steps = list(trajectory.steps)
     for _ in range(k):
@@ -168,9 +162,7 @@ def build_pref_dataset(
     trajectories: Sequence[Trajectory],
     samples: Sequence[CQRSample],
     client,
-    sparse: SparseIndex | None,
-    dense: DenseIndex | None,
-    provider: EmbeddingProvider | None,
+    indexes: Indexes,
     config: CrdgConfig,
     out_path: str,
     seed: int = 0,
@@ -202,9 +194,7 @@ def build_pref_dataset(
         if not plan.ot_steps:
             return None
         try:
-            return extend_redundantly(
-                plan.trajectory, plan.sample, client, sparse, dense, provider, config, plan.ot_steps
-            )
+            return extend_redundantly(plan.trajectory, plan.sample, client, indexes, config, plan.ot_steps)
         except (DataError, ProviderError) as e:
             return e
 

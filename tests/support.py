@@ -10,10 +10,9 @@ from typing import Iterable, Sequence
 
 from icr.corpus import CQRSample, Passage, Qrels, _infer_format
 from icr.crdg import CrdgConfig, Trajectory
-from icr.dense_index import DenseIndex, EmbeddingProvider
+from icr.evaluation import Indexes
 from icr.genclient import ScriptedMock
 from icr.prefdata import _redundant_steps, extend_redundantly
-from icr.sparse_index import SparseIndex
 
 
 def write_collection(passages: Iterable[Passage], path: str, format: str | None = None) -> None:
@@ -56,9 +55,7 @@ def make_overthinking(
     trajectory: Trajectory,
     sample: CQRSample,
     client,
-    sparse: SparseIndex | None,
-    dense: DenseIndex | None,
-    provider: EmbeddingProvider | None,
+    indexes: Indexes,
     config: CrdgConfig,
     multi: bool = False,
     rng: random.Random | None = None,
@@ -71,4 +68,4 @@ def make_overthinking(
     if not trajectory.steps:
         return None
     k = _redundant_steps(multi, rng or random.Random())
-    return extend_redundantly(trajectory, sample, client, sparse, dense, provider, config, k)
+    return extend_redundantly(trajectory, sample, client, indexes, config, k)

@@ -4,6 +4,7 @@ them). Tolerances and budgets are pinned here, not configurable."""
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
@@ -15,11 +16,11 @@ import pytest
 from icr.cli import main
 from icr.corpus import CQRSample
 from icr.crdg import CrdgConfig, build_crdg_dataset, generate_trajectory
-from icr.evaluation import gsr, lsr, mrr, ndcg_at_3, recall_at_k
+from icr.evaluation import Indexes, gsr, lsr, mrr, ndcg_at_3, recall_at_k
 from icr.fusion import FusionConfig, fuse
 from icr.genclient import ScriptedMock, clarify_fingerprint, rewrite_fingerprint
 from icr.manifest import load_manifest
-from icr.pipeline import InferenceConfig, retrieve_and_fuse, sparse_searcher
+from icr.pipeline import InferenceConfig, retrieve_and_fuse
 from icr.prefdata import make_insufficient_decomposition, make_underthinking
 from icr.ranking import RankedList
 from icr.sftdata import sft_record
@@ -142,21 +143,21 @@ def test_criterion_4_trajectory_control_flow(
 
         # (a) strict monotonicity of accepted quality scores
         mock = improve_then_plateau(rounds=3, attempts=4)
-        traj = generate_trajectory(tier_sample, mock, tier_sparse, tier_dense, tier_provider, config)
+        traj = generate_trajectory(tier_sample, mock, Indexes(tier_sparse, tier_dense, tier_provider), config)
         path = traj.f_path()
         assert len(traj.steps) == 3
         assert all(path[i - 1] < path[i] for i in range(1, len(path)))
 
         # (b) hard stop at I=10 rounds under an ever-improving generator
         mock = improving_script(rounds=11)
-        traj = generate_trajectory(tier_sample, mock, tier_sparse, tier_dense, tier_provider, config)
+        traj = generate_trajectory(tier_sample, mock, Indexes(tier_sparse, tier_dense, tier_provider), config)
         assert len(traj.steps) == 10
         assert traj.stop_reason == "max_iterations"
         assert mock.calls == 10 * 2  # the 11th scripted round was never consulted
 
         # (c) early stop after exactly E=3 consecutive failed rounds
         mock = plateau_script(tier_sample.query, attempts=4)
-        traj = generate_trajectory(tier_sample, mock, tier_sparse, tier_dense, tier_provider, config)
+        traj = generate_trajectory(tier_sample, mock, Indexes(tier_sparse, tier_dense, tier_provider), config)
         assert traj.steps == []
         assert traj.stop_reason == "early_stop"
         assert mock.calls == 3 * 4 * 2  # 3 rounds x (B+1) attempts x 2 calls
@@ -171,7 +172,7 @@ def test_criterion_4_trajectory_control_flow(
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for out in (a, b):
             build_crdg_dataset(
-                samples, mock_factory(), tier_sparse, tier_dense, tier_provider,
+                samples, mock_factory(), Indexes(tier_sparse, tier_dense, tier_provider),
                 config, str(out), seed=13,
             )
         assert a.read_bytes() == b.read_bytes()
@@ -186,7 +187,7 @@ def test_criterion_5_preference_transforms(tier_sparse, tier_dense, tier_provide
 
         rng = random.Random(505)
         real_quality = {
-            m: f_score(tier_query(m), tier_sample, tier_sparse, tier_dense, tier_provider, "both")
+            m: f_score(tier_query(m), tier_sample, Indexes(tier_sparse, tier_dense, tier_provider), "both")
             for m in range(1, 12)
         }
         # overthinking mock: odd tiers echo (delta 0), even tiers step down
@@ -230,7 +231,7 @@ def test_criterion_5_preference_transforms(tier_sparse, tier_dense, tier_provide
 
             if n >= 1:
                 ot = make_overthinking(
-                    traj, tier_sample, ot_mock, tier_sparse, tier_dense, tier_provider,
+                    traj, tier_sample, ot_mock, Indexes(tier_sparse, tier_dense, tier_provider),
                     config, multi=bool(rng.getrandbits(1)), rng=rng,
                 )
                 assert ot is not None
@@ -289,7 +290,7 @@ def test_criterion_8_fusion_ordering_end_to_end():
     with criterion(8, "fused gold rank: prrf <= final_only <= rrf on the 20-doc corpus (< 5 s)"):
         start = time.perf_counter()
         index = build_sparse_index(make_fig_corpus())
-        searcher = sparse_searcher(index)
+        searcher = functools.partial(Indexes(index).search, "sparse")
         runs = [searcher(q, 100, "fig") for q in FIG_QUERIES]
         assert runs[0].rank_of("gold") is None
         assert runs[1].rank_of("gold") is None

@@ -110,9 +110,8 @@ def test_full_cli_workflow(ws, capsys):
 DATA = Path(__file__).parent / "data"
 
 
-def test_crdg_and_prefdata_match_golden_outputs(ws):
-    """The goldens were written by the loop that computed F on every call,
-    before F was memoised per sample; outputs must stay byte-identical."""
+def _crdg_and_prefdata(ws) -> tuple[bytes, bytes]:
+    """The bytes ``crdg`` then ``prefdata --multi-ot --seed 3`` write."""
     sparse, dense = _build_indexes(ws)
     common = ["--dataset", ws["dataset"], "--sparse-index", sparse, "--dense-index", dense,
               "--mock-script", ws["script"], "--config", ws["config"]]
@@ -120,8 +119,66 @@ def test_crdg_and_prefdata_match_golden_outputs(ws):
     assert main(["crdg", *common, "--out", str(dcr)]) == 0
     assert main(["prefdata", "--crdg", str(dcr), *common, "--out", str(pref),
                  "--multi-ot", "--seed", "3"]) == 0
-    assert dcr.read_bytes() == (DATA / "chain_dcr.golden.jsonl").read_bytes()
-    assert pref.read_bytes() == (DATA / "chain_pref.golden.jsonl").read_bytes()
+    return dcr.read_bytes(), pref.read_bytes()
+
+
+def test_crdg_and_prefdata_match_golden_outputs(ws):
+    """The goldens were written by the loop that computed F on every call,
+    before F was memoised per sample; outputs must stay byte-identical."""
+    dcr, pref = _crdg_and_prefdata(ws)
+    assert dcr == (DATA / "chain_dcr.golden.jsonl").read_bytes()
+    assert pref == (DATA / "chain_pref.golden.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("f_mode", ["sparse_only", "dense_only"])
+def test_single_retriever_f_modes_match_golden_outputs(ws, f_mode):
+    """crdg and prefdata under each single-retriever F mode, pinned byte for byte."""
+    with open(ws["config"], "a", encoding="utf-8") as fh:
+        fh.write(f"crdg.f_mode = {f_mode}\n")
+    dcr, pref = _crdg_and_prefdata(ws)
+    assert dcr == (DATA / f"chain_dcr.{f_mode}.golden.jsonl").read_bytes()
+    assert pref == (DATA / f"chain_pref.{f_mode}.golden.jsonl").read_bytes()
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    """Every file under ``root`` but the manifests, by relative path."""
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file() and not p.name.endswith(".manifest.json")
+    }
+
+
+@pytest.mark.parametrize("retriever", ["dense", "both-report"])
+def test_infer_retrievers_match_golden_outputs(ws, retriever, capsys):
+    """The fused run and the per-iteration runs of each dense-searching
+    retriever, pinned byte for byte."""
+    sparse, dense = _build_indexes(ws)
+    out = ws["out"] / "infer"
+    out.mkdir()
+    assert main(["infer", "--dataset", ws["dataset"], "--sparse-index", sparse, "--dense-index", dense,
+                 "--mock-script", ws["script"], "--config", ws["config"], "--retriever", retriever,
+                 "--out", str(out / "run.trec"), "--per-query-dir", str(out / "iters")]) == 0
+    golden = _tree(DATA / f"infer_{retriever}.golden")
+    assert golden and _tree(out) == golden
+    capsys.readouterr()
+
+
+def test_embed_index_into_a_directory_holding_another_file_is_a_data_error(ws, capsys):
+    dense = ws["out"] / "dense.idx"
+    dense.mkdir()
+    (dense / "notes.txt").write_text("mine", encoding="utf-8")
+    assert main(["embed-index", "--collection", ws["collection"], "--out", str(dense),
+                 "--config", ws["config"]]) == 2
+    assert "notes.txt" in capsys.readouterr().err
+    assert [p.name for p in ws["out"].rglob("*")] == ["dense.idx", "notes.txt"]
+    # a rerun into a directory that holds only an index still works
+    (dense / "notes.txt").unlink()
+    for _ in range(2):
+        assert main(["embed-index", "--collection", ws["collection"], "--out", str(dense),
+                     "--config", ws["config"]]) == 0
+    assert sorted(p.name for p in dense.iterdir()) == ["id_rank.npy", "meta.json", "vectors.npy"]
+    capsys.readouterr()
 
 
 def test_usage_error_exit_code(capsys):

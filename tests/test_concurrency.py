@@ -23,6 +23,7 @@ import pytest
 
 from icr.corpus import CQRSample
 from icr.crdg import CrdgConfig, build_crdg_dataset, load_trajectories
+from icr.evaluation import Indexes
 from icr.genclient import ScriptedMock, run_in_order
 from icr.pipeline import InferenceConfig, emit_per_query_runs, emit_run, run_batch
 from icr.prefdata import build_pref_dataset
@@ -157,26 +158,26 @@ def samples():
 
 @pytest.fixture()
 def indexes(tier_sparse, tier_dense, tier_provider):
-    return tier_sparse, tier_dense, tier_provider
+    return Indexes(tier_sparse, tier_dense, tier_provider)
 
 
 def _crdg(tmp_path, name, samples, client, indexes) -> bytes:
     out = tmp_path / name
-    build_crdg_dataset(samples, client, *indexes, CONFIG, str(out))
+    build_crdg_dataset(samples, client, indexes, CONFIG, str(out))
     return out.read_bytes()
 
 
 def _prefdata(tmp_path, name, samples, client, indexes, dcr, multi_ot) -> bytes:
     out = tmp_path / name
     build_pref_dataset(
-        load_trajectories(str(dcr)), samples, client, *indexes, CONFIG, str(out), seed=5, multi_ot=multi_ot
+        load_trajectories(str(dcr)), samples, client, indexes, CONFIG, str(out), seed=5, multi_ot=multi_ot
     )
     return out.read_bytes()
 
 
 def _infer(tmp_path, name, samples, client, indexes, step_wise) -> bytes:
     config = InferenceConfig(retriever="both-report", step_wise=step_wise)
-    results = run_batch(samples, client, config, *indexes)
+    results = run_batch(samples, client, config, indexes)
     data = b""
     for retriever, batch in results.items():
         assert [r.sample_id for r in batch] == [s.sample_id for s in samples]
@@ -209,7 +210,7 @@ def test_crdg_output_is_byte_identical_at_width_four(tmp_path, samples, indexes)
 @pytest.mark.parametrize("multi_ot", [False, True])
 def test_prefdata_output_is_byte_identical_at_width_four(tmp_path, samples, indexes, multi_ot):
     dcr = tmp_path / "dcr.jsonl"
-    build_crdg_dataset(samples, SlowClient(width=1), *indexes, CONFIG, str(dcr))
+    build_crdg_dataset(samples, SlowClient(width=1), indexes, CONFIG, str(dcr))
     reference = SlowClient(width=1)
     serial = _prefdata(tmp_path, "serial.jsonl", samples, reference, indexes, dcr, multi_ot)
     client = SlowClient(calls=reference.tracker.calls())
@@ -244,7 +245,7 @@ def test_worker_error_stops_every_generator_call(tmp_path, samples, indexes):
     client = SlowClient(delays={0: 0.02, 1: 0.005, 2: 0.02, 3: 0.02}, fail=(1, 3))
     out = tmp_path / "dcr.jsonl"
     with pytest.raises(RuntimeError, match="generator crashed"):
-        build_crdg_dataset(samples, client, *indexes, CONFIG, str(out))
+        build_crdg_dataset(samples, client, indexes, CONFIG, str(out))
     assert client.failed_at is not None
     assert [s for t, s in client.tracker.starts if t > client.failed_at] == []
     assert {s for _, s in client.tracker.starts} == {0, 1, 2, 3}

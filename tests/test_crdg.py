@@ -21,7 +21,7 @@ from icr.crdg import (
     trajectory_to_record,
 )
 from icr.errors import ProviderUnavailable
-from icr.evaluation import MetricSet, QualityScore
+from icr.evaluation import Indexes, MetricSet, QualityScore
 from icr.genclient import ScriptedMock, clarify_fingerprint, rewrite_fingerprint
 
 from .conftest import improve_then_plateau, improving_script, plateau_script, tier_query
@@ -42,10 +42,17 @@ class FailingClient:
         return self.inner.generate(kind, fingerprint, prompt, attempt)
 
 
+def test_config_rejects_an_unknown_f_mode():
+    with pytest.raises(ValueError, match="bogus"):
+        CrdgConfig(f_mode="bogus")
+    for mode in ("both", "sparse_only", "dense_only"):
+        assert CrdgConfig(f_mode=mode).f_mode == mode
+
+
 def test_three_improving_steps(tier_sparse, tier_dense, tier_provider, tier_sample):
     mock = improve_then_plateau(rounds=3, attempts=4)
     config = CrdgConfig(early_stop=3, max_iters=10, resample_budget=3)
-    traj = generate_trajectory(tier_sample, mock, tier_sparse, tier_dense, tier_provider, config)
+    traj = generate_trajectory(tier_sample, mock, Indexes(tier_sparse, tier_dense, tier_provider), config)
     assert len(traj.steps) == 3
     path = traj.f_path()
     assert all(path[i - 1] < path[i] for i in range(1, len(path)))
@@ -70,16 +77,16 @@ def test_f_scored_once_per_distinct_text(
     monkeypatch.setattr(crdg, "f_score", counted)
     mock = improve_then_plateau(rounds=3, attempts=4)
     config = CrdgConfig(early_stop=3, max_iters=10, resample_budget=3)
-    traj = generate_trajectory(tier_sample, mock, tier_sparse, tier_dense, tier_provider, config)
+    traj = generate_trajectory(tier_sample, mock, Indexes(tier_sparse, tier_dense, tier_provider), config)
     texts = [tier_query(m) for m in range(1, 5)]
     assert calls == Counter({("s1", t): 1 for t in texts})
-    assert traj.f_path() == [f_score(t, tier_sample, tier_sparse, tier_dense, tier_provider).f for t in texts]
+    assert traj.f_path() == [f_score(t, tier_sample, Indexes(tier_sparse, tier_dense, tier_provider)).f for t in texts]
 
 
 def test_plateau_only_yields_empty_trajectory(tier_sparse, tier_dense, tier_provider, tier_sample):
     mock = plateau_script(tier_sample.query, attempts=4)
     config = CrdgConfig(early_stop=3, max_iters=10, resample_budget=3)
-    traj = generate_trajectory(tier_sample, mock, tier_sparse, tier_dense, tier_provider, config)
+    traj = generate_trajectory(tier_sample, mock, Indexes(tier_sparse, tier_dense, tier_provider), config)
     assert traj.steps == []
     assert traj.stop_reason == "early_stop"
     assert traj.f_path() == [traj.f0.f]
@@ -91,7 +98,7 @@ def test_two_improvements_then_stop_with_tight_budget(
 ):
     mock = improve_then_plateau(rounds=2, attempts=1)
     config = CrdgConfig(early_stop=1, max_iters=10, resample_budget=0)
-    traj = generate_trajectory(tier_sample, mock, tier_sparse, tier_dense, tier_provider, config)
+    traj = generate_trajectory(tier_sample, mock, Indexes(tier_sparse, tier_dense, tier_provider), config)
     assert len(traj.steps) == 2
     assert traj.stop_reason == "early_stop"
     assert mock.calls == 2 * 2 + 1 * 2  # two accepts, one failed round ends it
@@ -100,7 +107,7 @@ def test_two_improvements_then_stop_with_tight_budget(
 def test_max_iterations_cap(tier_sparse, tier_dense, tier_provider, tier_sample):
     mock = improving_script(rounds=10)
     config = CrdgConfig(early_stop=3, max_iters=10, resample_budget=3)
-    traj = generate_trajectory(tier_sample, mock, tier_sparse, tier_dense, tier_provider, config)
+    traj = generate_trajectory(tier_sample, mock, Indexes(tier_sparse, tier_dense, tier_provider), config)
     assert len(traj.steps) == 10
     assert traj.stop_reason == "max_iterations"
     assert traj.final_rewrite() == tier_query(11)
@@ -118,7 +125,7 @@ def test_resample_accepts_on_second_attempt(tier_sparse, tier_dense, tier_provid
     mock.add("rewrite", rewrite_fingerprint(q, "extend?"), tier_query(2), 1)
     mock = plateau_script(tier_query(2), attempts=2, mock=mock)
     config = CrdgConfig(early_stop=1, max_iters=5, resample_budget=1)
-    traj = generate_trajectory(tier_sample, mock, tier_sparse, tier_dense, tier_provider, config)
+    traj = generate_trajectory(tier_sample, mock, Indexes(tier_sparse, tier_dense, tier_provider), config)
     assert len(traj.steps) == 1
     assert traj.steps[0].attempt_count == 2
     assert traj.steps[0].rewrite == tier_query(2)
@@ -132,7 +139,7 @@ def test_empty_response_consumes_attempt(tier_sparse, tier_dense, tier_provider,
     mock.add("rewrite", rewrite_fingerprint(q, "extend?"), tier_query(2), 1)
     mock = plateau_script(tier_query(2), attempts=2, mock=mock)
     config = CrdgConfig(early_stop=1, max_iters=5, resample_budget=1)
-    traj = generate_trajectory(tier_sample, mock, tier_sparse, tier_dense, tier_provider, config)
+    traj = generate_trajectory(tier_sample, mock, Indexes(tier_sparse, tier_dense, tier_provider), config)
     assert len(traj.steps) == 1
     assert traj.steps[0].attempt_count == 2
 
@@ -141,7 +148,7 @@ def test_provider_failure_keeps_partial_steps(tier_sparse, tier_dense, tier_prov
     # two accepted rounds = 4 calls; the 5th call dies
     client = FailingClient(improving_script(rounds=10), fail_after=4)
     config = CrdgConfig(early_stop=3, max_iters=10, resample_budget=3)
-    traj = generate_trajectory(tier_sample, client, tier_sparse, tier_dense, tier_provider, config)
+    traj = generate_trajectory(tier_sample, client, Indexes(tier_sparse, tier_dense, tier_provider), config)
     assert traj.stop_reason == "provider_failure"
     assert len(traj.steps) == 2
 
@@ -168,7 +175,7 @@ def test_provider_failure_during_scoring(tier_sparse, tier_dense, tier_provider,
     flaky = _FlakyProvider(tier_provider, fail_after=1)
     config = CrdgConfig(early_stop=3, max_iters=10, resample_budget=3)
     traj = generate_trajectory(
-        tier_sample, improving_script(rounds=10), tier_sparse, tier_dense, flaky, config
+        tier_sample, improving_script(rounds=10), Indexes(tier_sparse, tier_dense, flaky), config
     )
     assert traj.stop_reason == "provider_failure"
     assert traj.steps == []
@@ -180,7 +187,7 @@ def test_build_dataset_records_provider_error_at_f0(
     flaky = _FlakyProvider(tier_provider, fail_after=0)
     out = tmp_path / "dcr.jsonl"
     stats = build_crdg_dataset(
-        [tier_sample], improving_script(3), tier_sparse, tier_dense, flaky,
+        [tier_sample], improving_script(3), Indexes(tier_sparse, tier_dense, flaky),
         CrdgConfig(), str(out),
     )
     assert stats.errors == 1
@@ -190,7 +197,7 @@ def test_build_dataset_records_provider_error_at_f0(
 def test_serialize_one_step(tier_sample, tier_sparse, tier_dense, tier_provider):
     mock = improve_then_plateau(rounds=1, attempts=4)
     config = CrdgConfig()
-    traj = generate_trajectory(tier_sample, mock, tier_sparse, tier_dense, tier_provider, config)
+    traj = generate_trajectory(tier_sample, mock, Indexes(tier_sparse, tier_dense, tier_provider), config)
     text = serialize_trajectory(traj)
     c, r = traj.steps[0].clarification, traj.steps[0].rewrite
     assert text == f"[Clarification] {c} [Rewrite] {r}"
@@ -198,7 +205,7 @@ def test_serialize_one_step(tier_sample, tier_sparse, tier_dense, tier_provider)
 
 def test_serialize_empty_is_empty_string(tier_sample, tier_sparse, tier_dense, tier_provider):
     mock = plateau_script(tier_sample.query, attempts=4)
-    traj = generate_trajectory(tier_sample, mock, tier_sparse, tier_dense, tier_provider, CrdgConfig())
+    traj = generate_trajectory(tier_sample, mock, Indexes(tier_sparse, tier_dense, tier_provider), CrdgConfig())
     assert serialize_trajectory(traj) == ""
 
 
@@ -237,7 +244,7 @@ def test_parse_plain_text_is_empty():
 
 def test_record_roundtrip(tier_sample, tier_sparse, tier_dense, tier_provider):
     mock = improve_then_plateau(rounds=2, attempts=4)
-    traj = generate_trajectory(tier_sample, mock, tier_sparse, tier_dense, tier_provider, CrdgConfig())
+    traj = generate_trajectory(tier_sample, mock, Indexes(tier_sparse, tier_dense, tier_provider), CrdgConfig())
     record = trajectory_to_record(traj)
     assert record["empty"] is False
     assert trajectory_from_record(record) == traj
@@ -262,7 +269,7 @@ def test_build_dataset_records_and_errors(
     mock = _three_sample_mock()
     out = tmp_path / "dcr.jsonl"
     stats = build_crdg_dataset(
-        three_samples, mock, tier_sparse, tier_dense, tier_provider, CrdgConfig(), str(out)
+        three_samples, mock, Indexes(tier_sparse, tier_dense, tier_provider), CrdgConfig(), str(out)
     )
     assert (stats.written, stats.skipped, stats.errors) == (3, 0, 1)
     records = read_crdg_records(str(out))
@@ -285,12 +292,12 @@ def test_load_trajectories_skips_provider_failures(tmp_path):
 def test_build_dataset_resumes(tmp_path, three_samples, tier_sparse, tier_dense, tier_provider):
     out = tmp_path / "dcr.jsonl"
     first = build_crdg_dataset(
-        three_samples[:1], _three_sample_mock(), tier_sparse, tier_dense, tier_provider,
+        three_samples[:1], _three_sample_mock(), Indexes(tier_sparse, tier_dense, tier_provider),
         CrdgConfig(), str(out),
     )
     assert first.written == 1
     second = build_crdg_dataset(
-        three_samples, _three_sample_mock(), tier_sparse, tier_dense, tier_provider,
+        three_samples, _three_sample_mock(), Indexes(tier_sparse, tier_dense, tier_provider),
         CrdgConfig(), str(out),
     )
     assert second.skipped == 1
@@ -303,13 +310,13 @@ def test_build_dataset_recovers_from_partial_line(
 ):
     out = tmp_path / "dcr.jsonl"
     build_crdg_dataset(
-        three_samples[:1], _three_sample_mock(), tier_sparse, tier_dense, tier_provider,
+        three_samples[:1], _three_sample_mock(), Indexes(tier_sparse, tier_dense, tier_provider),
         CrdgConfig(), str(out),
     )
     with open(out, "a", encoding="utf-8") as fh:
         fh.write('{"sample_id": "s2", "trunc')  # simulate a mid-write crash
     stats = build_crdg_dataset(
-        three_samples, _three_sample_mock(), tier_sparse, tier_dense, tier_provider,
+        three_samples, _three_sample_mock(), Indexes(tier_sparse, tier_dense, tier_provider),
         CrdgConfig(), str(out),
     )
     assert stats.skipped == 1
@@ -321,13 +328,14 @@ def test_resume_skips_blank_lines(tmp_path, three_samples, tier_sparse, tier_den
     def resume(lines: list[bytes]) -> tuple:
         out.write_bytes(b"".join(lines))
         stats = build_crdg_dataset(
-            three_samples, _three_sample_mock(), tier_sparse, tier_dense, tier_provider, CrdgConfig(), str(out),
+            three_samples, _three_sample_mock(), Indexes(tier_sparse, tier_dense, tier_provider),
+            CrdgConfig(), str(out),
         )
         return stats.skipped, stats.written, [r["sample_id"] for r in read_crdg_records(str(out))]
 
     out = tmp_path / "dcr.jsonl"
     build_crdg_dataset(
-        three_samples, _three_sample_mock(), tier_sparse, tier_dense, tier_provider, CrdgConfig(), str(out),
+        three_samples, _three_sample_mock(), Indexes(tier_sparse, tier_dense, tier_provider), CrdgConfig(), str(out),
     )
     lines = out.read_bytes().splitlines(keepends=True)
     assert resume(lines[:1] + [b"\n", b"  \n"] + lines[1:]) == resume(lines) == (2, 1, ["s1", "s2", "s3"])
@@ -338,15 +346,15 @@ def test_resume_reruns_provider_failures(tmp_path, tier_sample, tier_sparse, tie
     samples = [tier_sample, CQRSample("s2", [], "kelpie", {"gold"}), CQRSample("s4", [], tier_query(1), {"gold"})]
     out = tmp_path / "dcr.jsonl"
     first = build_crdg_dataset(
-        samples, FailingClient(_three_sample_mock(), fail_after=35), tier_sparse, tier_dense,
-        tier_provider, CrdgConfig(), str(out),
+        samples, FailingClient(_three_sample_mock(), fail_after=35),
+        Indexes(tier_sparse, tier_dense, tier_provider), CrdgConfig(), str(out),
     )
     assert [r["stop_reason"] for r in read_crdg_records(str(out))] == [
         "early_stop", "provider_failure", "provider_failure",
     ]
     assert first.written == 3
     second = build_crdg_dataset(
-        samples, _three_sample_mock(), tier_sparse, tier_dense, tier_provider, CrdgConfig(), str(out),
+        samples, _three_sample_mock(), Indexes(tier_sparse, tier_dense, tier_provider), CrdgConfig(), str(out),
     )
     assert (second.skipped, second.written) == (1, 2)
     records = read_crdg_records(str(out))
@@ -359,12 +367,13 @@ def test_resume_reruns_provider_failures(tmp_path, tier_sample, tier_sparse, tie
 def test_resume_reruns_error_records(tmp_path, tier_sample, tier_sparse, tier_dense, tier_provider):
     out = tmp_path / "dcr.jsonl"
     build_crdg_dataset(
-        [tier_sample], improve_then_plateau(3, 4), tier_sparse, tier_dense,
-        _FlakyProvider(tier_provider, fail_after=0), CrdgConfig(), str(out),
+        [tier_sample], improve_then_plateau(3, 4),
+        Indexes(tier_sparse, tier_dense, _FlakyProvider(tier_provider, fail_after=0)), CrdgConfig(), str(out),
     )
     assert "error" in read_crdg_records(str(out))[0]
     stats = build_crdg_dataset(
-        [tier_sample], improve_then_plateau(3, 4), tier_sparse, tier_dense, tier_provider, CrdgConfig(), str(out),
+        [tier_sample], improve_then_plateau(3, 4), Indexes(tier_sparse, tier_dense, tier_provider),
+        CrdgConfig(), str(out),
     )
     assert (stats.skipped, stats.written, stats.errors) == (0, 1, 0)
     records = read_crdg_records(str(out))
@@ -377,7 +386,7 @@ def test_build_dataset_byte_reproducible(
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for out in (a, b):
         build_crdg_dataset(
-            three_samples, _three_sample_mock(), tier_sparse, tier_dense, tier_provider,
+            three_samples, _three_sample_mock(), Indexes(tier_sparse, tier_dense, tier_provider),
             CrdgConfig(), str(out), seed=7,
         )
     assert a.read_bytes() == b.read_bytes()
@@ -386,7 +395,7 @@ def test_build_dataset_byte_reproducible(
 def test_record_json_schema(tmp_path, tier_sample, tier_sparse, tier_dense, tier_provider):
     out = tmp_path / "dcr.jsonl"
     build_crdg_dataset(
-        [tier_sample], improve_then_plateau(1, 4), tier_sparse, tier_dense, tier_provider,
+        [tier_sample], improve_then_plateau(1, 4), Indexes(tier_sparse, tier_dense, tier_provider),
         CrdgConfig(), str(out),
     )
     record = json.loads(out.read_text().splitlines()[0])

@@ -354,6 +354,23 @@ def test_saving_over_a_loaded_index_leaves_its_mapped_vectors_readable(tmp_path)
     assert load_dense_index(str(path)).ids == ["x"]
 
 
+def test_saving_into_a_directory_holding_other_entries_is_a_data_error(tmp_path):
+    index, path = _saved(tmp_path)
+    (path / "notes.txt").write_text("mine", encoding="utf-8")
+    (path / "z").mkdir()
+    before = {p.name: p.read_bytes() if p.is_file() else None for p in path.iterdir()}
+    other = build_dense_index([Passage("x", "other")], HashEmbeddingProvider(dim=8))
+    with pytest.raises(DataError, match=r"notes\.txt"):
+        save_dense_index(other, str(path))
+    assert {p.name: p.read_bytes() if p.is_file() else None for p in path.iterdir()} == before
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    (fresh / "notes.txt").write_text("mine", encoding="utf-8")
+    with pytest.raises(DataError, match=r"notes\.txt"):
+        save_dense_index(index, str(fresh))
+    assert [p.name for p in fresh.iterdir()] == ["notes.txt"]
+
+
 def test_version_1_dense_index_is_rejected(tmp_path):
     _, path = _saved(tmp_path)
     meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))

@@ -11,6 +11,7 @@ from icr.corpus import CQRSample, Passage, Qrels
 from icr.dense_index import HashEmbeddingProvider, build_dense_index
 from icr.errors import GoldMissingFromCollection
 from icr.evaluation import (
+    Indexes,
     MetricSet,
     QualityScore,
     delta_f_profile,
@@ -115,7 +116,7 @@ def tiny_indexes():
 def test_f_score_rank1_both_is_8(tiny_indexes):
     sparse, dense, provider = tiny_indexes
     sample = CQRSample("s1", [], "solar", {"g1"})
-    qs = f_score("solar panel efficiency", sample, sparse, dense, provider, "both")
+    qs = f_score("solar panel efficiency", sample, Indexes(sparse, dense, provider), "both")
     assert qs.f == pytest.approx(8.0)
     assert qs.sparse.total() == pytest.approx(4.0)
     assert qs.dense.total() == pytest.approx(4.0)
@@ -131,7 +132,7 @@ def test_as_dict_matches_dataclasses_asdict_key_for_key():
 def test_f_score_gold_never_retrieved(tiny_indexes):
     sparse, dense, provider = tiny_indexes
     sample = CQRSample("s1", [], "solar", {"g1"})
-    qs = f_score("wind turbine", sample, sparse, dense, provider, "both")
+    qs = f_score("wind turbine", sample, Indexes(sparse, dense, provider), "both")
     # dense full-scan may still reach gold at depth; sparse side is 0
     assert qs.sparse.total() == 0.0
 
@@ -139,7 +140,7 @@ def test_f_score_gold_never_retrieved(tiny_indexes):
 def test_f_score_sparse_only_mode(tiny_indexes):
     sparse, _, _ = tiny_indexes
     sample = CQRSample("s1", [], "solar", {"g1"})
-    qs = f_score("solar panel efficiency", sample, sparse, None, None, "sparse_only")
+    qs = f_score("solar panel efficiency", sample, Indexes(sparse), "sparse_only")
     assert qs.f == pytest.approx(4.0)
     assert qs.dense.total() == 0.0
     assert qs.mode == "sparse_only"
@@ -148,7 +149,7 @@ def test_f_score_sparse_only_mode(tiny_indexes):
 def test_f_score_dense_only_mode(tiny_indexes):
     _, dense, provider = tiny_indexes
     sample = CQRSample("s1", [], "solar", {"g1"})
-    qs = f_score("solar panel efficiency", sample, None, dense, provider, "dense_only")
+    qs = f_score("solar panel efficiency", sample, Indexes(dense=dense, provider=provider), "dense_only")
     assert qs.f == qs.dense.total()
     assert qs.sparse.total() == 0.0
     assert qs.mode == "dense_only"
@@ -178,7 +179,7 @@ def test_f_score_gold_missing(tiny_indexes):
     sparse, dense, provider = tiny_indexes
     sample = CQRSample("s1", [], "solar", {"nope"})
     with pytest.raises(GoldMissingFromCollection) as err:
-        f_score("solar", sample, sparse, dense, provider, "both")
+        f_score("solar", sample, Indexes(sparse, dense, provider), "both")
     assert err.value.ids == ["nope"]
 
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from icr import pipeline
 from icr.corpus import CQRSample, Passage, Qrels
-from icr.evaluation import evaluate_run, metric_set
+from icr.evaluation import Indexes, evaluate_run, metric_set
 from icr.fusion import FusionConfig
 from icr.genclient import ScriptedMock, clarify_fingerprint, rewrite_fingerprint
 from icr.pipeline import (
@@ -16,7 +18,6 @@ from icr.pipeline import (
     retrieve_and_fuse,
     run_batch,
     run_inference,
-    sparse_searcher,
 )
 from icr.ranking import read_run
 from icr.sparse_index import build_sparse_index
@@ -102,7 +103,7 @@ def test_extract_queries_cases():
 
 
 def test_single_query_fusion_preserves_run(fig_sparse):
-    searcher = sparse_searcher(fig_sparse)
+    searcher = functools.partial(Indexes(fig_sparse).search, "sparse")
     config = InferenceConfig(fusion=FusionConfig(mode="prrf"))
     runs, fused, fallback = retrieve_and_fuse(
         ["manatee habitat florida springs"], searcher, config, "fig", "orig"
@@ -112,7 +113,7 @@ def test_single_query_fusion_preserves_run(fig_sparse):
 
 
 def test_empty_queries_fall_back_to_original(fig_sparse):
-    searcher = sparse_searcher(fig_sparse)
+    searcher = functools.partial(Indexes(fig_sparse).search, "sparse")
     config = InferenceConfig()
     runs, fused, fallback = retrieve_and_fuse(
         [], searcher, config, "fig", "manatee habitat"
@@ -123,7 +124,7 @@ def test_empty_queries_fall_back_to_original(fig_sparse):
 
 
 def test_prrf_beats_rrf_when_only_final_hits(fig_sparse):
-    searcher = sparse_searcher(fig_sparse)
+    searcher = functools.partial(Indexes(fig_sparse).search, "sparse")
     runs = [searcher(q, 100, "fig") for q in FIG_QUERIES]
     # fixture premise: gold only in the last run, at rank 1; the two
     # distractors carry rank-1/rank-2 mass in the earlier runs
@@ -148,7 +149,7 @@ def test_prrf_beats_rrf_when_only_final_hits(fig_sparse):
 def test_emit_run_roundtrips_through_evaluation(tmp_path, fig_sparse, fig_sample):
     mock = ScriptedMock().add("trajectory", "Q: what about it", fig_trajectory_text())
     config = InferenceConfig(fusion=FusionConfig(mode="prrf"))
-    results = run_batch([fig_sample], mock, config, sparse=fig_sparse)["sparse"]
+    results = run_batch([fig_sample], mock, config, Indexes(fig_sparse))["sparse"]
     path = tmp_path / "run.trec"
     assert emit_run(results, str(path)) == 0
     lines = path.read_text().splitlines()
@@ -169,7 +170,7 @@ def test_emit_run_empty_fused_writes_nothing(tmp_path, fig_sparse, fig_sample):
         "trajectory", "Q: what about it", "[Clarification] c [Rewrite] zzzunknown"
     )
     config = InferenceConfig()
-    results = run_batch([fig_sample], mock, config, sparse=fig_sparse)["sparse"]
+    results = run_batch([fig_sample], mock, config, Indexes(fig_sparse))["sparse"]
     path = tmp_path / "run.trec"
     assert emit_run(results, str(path)) == 1
     assert path.read_text() == ""
@@ -178,7 +179,7 @@ def test_emit_run_empty_fused_writes_nothing(tmp_path, fig_sparse, fig_sample):
 def test_per_query_runs_written_per_iteration(tmp_path, fig_sparse, fig_sample):
     mock = ScriptedMock().add("trajectory", "Q: what about it", fig_trajectory_text())
     config = InferenceConfig()
-    results = run_batch([fig_sample], mock, config, sparse=fig_sparse)["sparse"]
+    results = run_batch([fig_sample], mock, config, Indexes(fig_sparse))["sparse"]
     paths = emit_per_query_runs(results, str(tmp_path / "iters"))
     assert [p.split("/")[-1] for p in paths] == ["iter_01.trec", "iter_02.trec", "iter_03.trec"]
     assert read_run(paths[2])["fig"].ids()[0] == "gold"
@@ -191,7 +192,7 @@ def test_both_report_produces_two_result_sets(fig_sparse, fig_sample):
     dense = build_dense_index(make_fig_corpus(), provider)
     mock = ScriptedMock().add("trajectory", "Q: what about it", fig_trajectory_text())
     config = InferenceConfig(retriever="both-report")
-    results = run_batch([fig_sample], mock, config, sparse=fig_sparse, dense=dense, provider=provider)
+    results = run_batch([fig_sample], mock, config, Indexes(fig_sparse, dense, provider))
     assert set(results) == {"sparse", "dense"}
     assert results["sparse"][0].trajectory_text == results["dense"][0].trajectory_text
 
@@ -244,7 +245,7 @@ def test_latency_injected_delay(monkeypatch):
 def test_batch_is_deterministic(fig_sparse, fig_sample):
     mock = ScriptedMock().add("trajectory", "Q: what about it", fig_trajectory_text())
     config = InferenceConfig()
-    a = run_batch([fig_sample], mock, config, sparse=fig_sparse)["sparse"][0]
-    b = run_batch([fig_sample], mock, config, sparse=fig_sparse)["sparse"][0]
+    a = run_batch([fig_sample], mock, config, Indexes(fig_sparse))["sparse"][0]
+    b = run_batch([fig_sample], mock, config, Indexes(fig_sparse))["sparse"][0]
     assert a.fused.entries == b.fused.entries
     assert [r.entries for r in a.per_query_runs] == [r.entries for r in b.per_query_runs]

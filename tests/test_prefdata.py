@@ -9,7 +9,7 @@ import pytest
 from icr import prefdata
 from icr.corpus import CQRSample
 from icr.crdg import CrdgConfig, Trajectory, TrajectoryStep, serialize_trajectory
-from icr.evaluation import MetricSet, QualityScore, f_score
+from icr.evaluation import Indexes, MetricSet, QualityScore, f_score
 from icr.genclient import ScriptedMock, clarify_fingerprint, rewrite_fingerprint
 from icr.prefdata import (
     build_pref_dataset,
@@ -49,7 +49,7 @@ def echo_ot_mock(query: str, attempts: int = 4) -> ScriptedMock:
 @pytest.fixture()
 def tier_quality(tier_sparse, tier_dense, tier_provider, tier_sample):
     def q(m: int) -> QualityScore:
-        return f_score(tier_query(m), tier_sample, tier_sparse, tier_dense, tier_provider, "both")
+        return f_score(tier_query(m), tier_sample, Indexes(tier_sparse, tier_dense, tier_provider), "both")
 
     return q
 
@@ -60,7 +60,7 @@ def test_overthinking_zero_delta_extension(
     chosen = _trajectory(2, last_rewrite=tier_query(5), last_f=tier_quality(5))
     mock = echo_ot_mock(tier_query(5))
     ot = make_overthinking(
-        chosen, tier_sample, mock, tier_sparse, tier_dense, tier_provider, CrdgConfig()
+        chosen, tier_sample, mock, Indexes(tier_sparse, tier_dense, tier_provider), CrdgConfig()
     )
     assert ot is not None
     assert len(ot.steps) == 3
@@ -78,7 +78,7 @@ def test_overthinking_unsatisfiable_returns_none(
         mock.add("clarify", clarify_fingerprint(tier_query(3)), clar, attempt)
         mock.add("rewrite", rewrite_fingerprint(tier_query(3), clar), tier_query(4), attempt)
     ot = make_overthinking(
-        chosen, tier_sample, mock, tier_sparse, tier_dense, tier_provider,
+        chosen, tier_sample, mock, Indexes(tier_sparse, tier_dense, tier_provider),
         CrdgConfig(resample_budget=3),
     )
     assert ot is None
@@ -103,7 +103,7 @@ def test_overthinking_scores_each_rewrite_once(
         mock.add("clarify", clarify_fingerprint(tier_query(3)), clar, attempt)
         mock.add("rewrite", rewrite_fingerprint(tier_query(3), clar), tier_query(4), attempt)
     ot = make_overthinking(
-        chosen, tier_sample, mock, tier_sparse, tier_dense, tier_provider,
+        chosen, tier_sample, mock, Indexes(tier_sparse, tier_dense, tier_provider),
         CrdgConfig(resample_budget=3),
     )
     assert ot is None
@@ -130,7 +130,7 @@ def test_overthinking_multi_two_redundant_steps(
         mock.add("clarify", clarify_fingerprint(tier_query(m)), clar)
         mock.add("rewrite", rewrite_fingerprint(tier_query(m), clar), tier_query(m - 1))
     ot = make_overthinking(
-        chosen, tier_sample, mock, tier_sparse, tier_dense, tier_provider, CrdgConfig(),
+        chosen, tier_sample, mock, Indexes(tier_sparse, tier_dense, tier_provider), CrdgConfig(),
         multi=True, rng=_FixedChoiceRng(2),
     )
     assert ot is not None
@@ -144,7 +144,7 @@ def test_overthinking_requires_steps(tier_sparse, tier_dense, tier_provider, tie
     empty = _trajectory(0)
     assert (
         make_overthinking(
-            empty, tier_sample, ScriptedMock(), tier_sparse, tier_dense, tier_provider, CrdgConfig()
+            empty, tier_sample, ScriptedMock(), Indexes(tier_sparse, tier_dense, tier_provider), CrdgConfig()
         )
         is None
     )
@@ -225,7 +225,7 @@ def test_build_counts_by_length(
             mock.add("rewrite", rewrite_fingerprint(tier_query(m), clar), tier_query(m), attempt)
     out = tmp_path / "pref.jsonl"
     stats = build_pref_dataset(
-        trajectories, samples, mock, tier_sparse, tier_dense, tier_provider,
+        trajectories, samples, mock, Indexes(tier_sparse, tier_dense, tier_provider),
         CrdgConfig(), str(out), seed=3,
     )
     assert stats.ot == 3
@@ -251,7 +251,7 @@ def test_build_all_length_one_yields_no_ut_id(
     mock = echo_ot_mock(tier_query(4))
     out = tmp_path / "pref.jsonl"
     stats = build_pref_dataset(
-        trajectories, samples, mock, tier_sparse, tier_dense, tier_provider,
+        trajectories, samples, mock, Indexes(tier_sparse, tier_dense, tier_provider),
         CrdgConfig(), str(out),
     )
     assert (stats.ut, stats.id) == (0, 0)
@@ -265,8 +265,8 @@ def test_build_deterministic_under_seed(
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for out in (a, b):
         build_pref_dataset(
-            trajectories, samples, echo_ot_mock(tier_query(6)), tier_sparse, tier_dense,
-            tier_provider, CrdgConfig(), str(out), seed=11,
+            trajectories, samples, echo_ot_mock(tier_query(6)),
+            Indexes(tier_sparse, tier_dense, tier_provider), CrdgConfig(), str(out), seed=11,
         )
     assert a.read_bytes() == b.read_bytes()
 
@@ -275,7 +275,7 @@ def test_build_missing_sample_is_error_record(tmp_path, tier_sparse, tier_dense,
     trajectories = [_trajectory(2, "ghost")]
     out = tmp_path / "pref.jsonl"
     stats = build_pref_dataset(
-        trajectories, [], ScriptedMock(), tier_sparse, tier_dense, tier_provider,
+        trajectories, [], ScriptedMock(), Indexes(tier_sparse, tier_dense, tier_provider),
         CrdgConfig(), str(out),
     )
     assert stats.errors == 1
