@@ -21,7 +21,7 @@ import threading
 from . import crdg as crdg_mod
 from . import prefdata as prefdata_mod
 from . import sftdata as sftdata_mod
-from .config import Config, load_config
+from .config import Config, _parse_float, _parse_int, load_config
 from .corpus import load_collection, load_cqr_dataset, load_qrels, replacing
 from .dense_index import (
     HashEmbeddingProvider,
@@ -30,15 +30,15 @@ from .dense_index import (
     load_dense_index,
     save_dense_index,
 )
-from .errors import DataError, MissingRequired, ProviderError
-from .evaluation import MODE_RETRIEVERS, Indexes, delta_f_profile, evaluate_run, gsr, lsr
+from .errors import DataError, MissingRequired, ProviderError, TypeMismatch
+from .evaluation import MODE_RETRIEVERS, Indexes, delta_f_profile, gsr, lsr
 from .fusion import FusionConfig, fuse
 from .genclient import RemoteChatClient, ScriptedMock
 from .manifest import RunManifest, load_manifest, verify_outputs
 from .pipeline import RETRIEVER_CHOICES, emit_per_query_runs, emit_run, measure_latency, run_batch
 from .ranking import RankedList, read_run, write_run
 from .sparse_index import build_sparse_index, load_sparse_index, save_sparse_index
-from .workers import read_runs, write_shards
+from .workers import evaluate_file, read_runs, write_shards
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,6 +53,23 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would sys.exit(2)
         raise UsageError(message)
+
+
+def _checked(parse, **limits):
+    """An argparse type that checks a flag as ``parse`` checks its config
+    key; a bad value is a usage error naming the flag."""
+
+    def convert(raw: str):
+        try:
+            return parse("", raw, **limits)
+        except TypeMismatch as e:
+            raise argparse.ArgumentTypeError(e.reason) from None
+
+    return convert
+
+
+def _lengths(raw: str) -> list[int]:
+    return [_checked(_parse_int, minimum=1)(item) for item in raw.split(",")]
 
 
 def _require_path(value: str | None, name: str) -> str:
@@ -200,9 +217,14 @@ def cmd_fuse(args, config: Config) -> tuple[list, list]:
 
 
 def cmd_evaluate(args, config: Config) -> tuple[list, list]:
-    run = read_run(args.run)
-    qrels = load_qrels(args.qrels)
-    report = evaluate_run(run, qrels)
+    # the workers inherit the qrels, so they are loaded first; a bad run
+    # file is still the error reported when both are bad
+    try:
+        qrels = load_qrels(args.qrels)
+    except (DataError, OSError):
+        read_run(args.run)
+        raise
+    report = evaluate_file(args.run, qrels)
     _write_report("evaluate", report, report["num_samples"], args.out)
     return [args.run, args.qrels], [args.out]
 
@@ -210,7 +232,7 @@ def cmd_evaluate(args, config: Config) -> tuple[list, list]:
 def cmd_analyze(args, config: Config) -> tuple[list, list]:
     trajectories = crdg_mod.load_trajectories(args.crdg)
     paths = [t.f_path() for t in trajectories]
-    lengths = [int(x) for x in args.lengths.split(",")] if args.lengths else [4, 5, 6]
+    lengths = args.lengths or [4, 5, 6]
     report = {
         "num_trajectories": len(paths),
         "empty_trajectories": sum(1 for p in paths if len(p) == 1),
@@ -324,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("runs", nargs="+", help="TREC run files in iteration order")
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("rrf", "prrf", "final_only"))
-    p.add_argument("--k", type=float)
-    p.add_argument("--depth", type=int)
+    p.add_argument("--k", type=_checked(_parse_float, minimum=0.0, exclusive=True))
+    p.add_argument("--depth", type=_checked(_parse_int, minimum=1))
     _add_common(p)
     p.set_defaults(func=cmd_fuse)
 
@@ -338,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="success rates and per-step quality deltas")
     p.add_argument("--crdg", required=True)
-    p.add_argument("--lengths", help="comma-separated trajectory lengths (default 4,5,6)")
+    p.add_argument("--lengths", type=_lengths, help="comma-separated trajectory lengths (default 4,5,6)")
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_analyze)

@@ -13,6 +13,7 @@ construction and are safe to share across threads.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from contextlib import contextmanager, suppress
@@ -145,15 +146,24 @@ def replacing(path: str) -> Iterator[str]:
 
 
 @contextmanager
-def _open_text(path: str) -> Iterator[TextIO]:
-    """Open a UTF-8 text file for reading.
+def _open_text(path: str, start: int = 0, stop: int | None = None) -> Iterator[TextIO]:
+    """Open a UTF-8 text file for reading, or only its bytes ``[start,
+    stop)``, which are read at once and should begin at a line start.
 
     Raises:
-        MalformedRecord: invalid UTF-8 is read, naming the first bad line.
+        MalformedRecord: invalid UTF-8 is read, naming the file's first bad
+            line.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            yield fh
+        if start == 0 and stop is None:
+            with open(path, encoding="utf-8") as fh:
+                yield fh
+        else:
+            with open(path, "rb") as raw:
+                raw.seek(start)
+                data = raw.read(-1 if stop is None else stop - start)
+            with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+                yield fh
     except UnicodeDecodeError:
         raise MalformedRecord(path, _first_bad_line(path), "invalid UTF-8") from None
 

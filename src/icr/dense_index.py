@@ -225,7 +225,8 @@ def save_dense_index(index: DenseIndex, path: str) -> None:
         "ids": index.ids,
     }
     with replacing(os.path.join(path, "meta.json")) as temp, open(temp, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        # json.dump would stream through the pure-Python encoder
+        fh.write(json.dumps(meta, ensure_ascii=False, sort_keys=True, separators=(",", ":")))
     with replacing(os.path.join(path, "id_rank.npy")) as temp, open(temp, "wb") as fh:
         np.save(fh, index.id_rank.astype(np.min_scalar_type(index.doc_count)))
     # a process that maps the old vectors keeps reading them, not a cut file

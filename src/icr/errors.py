@@ -86,6 +86,7 @@ class TypeMismatch(DataError):
     def __init__(self, key: str, reason: str):
         super().__init__(f"config key {key!r}: {reason}")
         self.key = key
+        self.reason = reason
 
 
 class MissingRequired(DataError):

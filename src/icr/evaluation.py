@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 from .corpus import CQRSample, Qrels
 from .dense_index import DenseIndex, EmbeddingProvider, search_dense
 from .errors import DataError, GoldMissingFromCollection
-from .ranking import RankedList
+from .ranking import RankedList, Run
 from .sparse_index import SparseIndex, search_sparse
 
 F_MODES = ("both", "sparse_only", "dense_only")
@@ -75,7 +75,36 @@ def quality_from_dict(obj: Mapping) -> QualityScore:
 
 def mrr(ranked: RankedList, relevant: set[str]) -> float:
     """Reciprocal rank of the first relevant entry; 0 if none retrieved."""
-    for rank, (pid, _) in enumerate(ranked.entries, 1):
+    return _mrr(ranked.ids(), relevant)
+
+
+def ndcg_at_3(ranked: RankedList, grades: Mapping[str, int]) -> float:
+    """NDCG@3 with gain equal to the grade; 0 when nothing relevant is judged."""
+    return _ndcg3(ranked.ids(), grades)
+
+
+def recall_at_k(ranked: RankedList, relevant: set[str], k: int) -> float:
+    """Fraction of relevant ids in the top-k; 0 for an empty relevant set."""
+    return _recall(ranked.ids(), relevant, k)
+
+
+def metric_set(ranked: RankedList, relevant: set[str], grades: Mapping[str, int] | None = None) -> MetricSet:
+    """The four metrics of one ranked list; binary grades unless given."""
+    if grades is None:
+        grades = {pid: 1 for pid in relevant}
+    return _metrics(ranked.ids(), relevant, grades)
+
+
+# The metrics over a ranked list's passage ids, best first: ``evaluate_run``
+# reads them from a Run's id column, and no (id, score) pair is built.
+
+
+def _metrics(ids: Sequence[str], relevant: set[str], grades: Mapping[str, int]) -> MetricSet:
+    return MetricSet(_mrr(ids, relevant), _ndcg3(ids, grades), _recall(ids, relevant, 10), _recall(ids, relevant, 100))
+
+
+def _mrr(ids: Sequence[str], relevant: set[str]) -> float:
+    for rank, pid in enumerate(ids, 1):
         if pid in relevant:
             return 1.0 / rank
     return 0.0
@@ -85,36 +114,20 @@ def _dcg(gains: Sequence[float]) -> float:
     return sum(g / math.log2(i + 1) for i, g in enumerate(gains, 1))
 
 
-def ndcg_at_3(ranked: RankedList, grades: Mapping[str, int]) -> float:
-    """NDCG@3 with gain equal to the grade; 0 when nothing relevant is judged."""
+def _ndcg3(ids: Sequence[str], grades: Mapping[str, int]) -> float:
     ideal = sorted((g for g in grades.values() if g > 0), reverse=True)[:3]
     idcg = _dcg(ideal)
     if idcg <= 0.0:
         return 0.0
-    got = [float(grades.get(pid, 0)) for pid, _ in ranked.entries[:3]]
-    return _dcg(got) / idcg
+    return _dcg([float(grades.get(pid, 0)) for pid in ids[:3]]) / idcg
 
 
-def recall_at_k(ranked: RankedList, relevant: set[str], k: int) -> float:
-    """Fraction of relevant ids in the top-k; 0 for an empty relevant set."""
+def _recall(ids: Sequence[str], relevant: set[str], k: int) -> float:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not relevant:
         return 0.0
-    top = {pid for pid, _ in ranked.entries[:k]}
-    return len(relevant & top) / len(relevant)
-
-
-def metric_set(ranked: RankedList, relevant: set[str], grades: Mapping[str, int] | None = None) -> MetricSet:
-    """The four metrics of one ranked list; binary grades unless given."""
-    if grades is None:
-        grades = {pid: 1 for pid in relevant}
-    return MetricSet(
-        mrr=mrr(ranked, relevant),
-        ndcg3=ndcg_at_3(ranked, grades),
-        recall10=recall_at_k(ranked, relevant, 10),
-        recall100=recall_at_k(ranked, relevant, 100),
-    )
+    return len(relevant.intersection(ids[:k])) / len(relevant)
 
 
 @dataclass(frozen=True)
@@ -226,14 +239,28 @@ def evaluate_run(run: Mapping[str, RankedList], qrels: Qrels) -> dict:
     out of the aggregates. Queries with no relevant judged passage get
     zeros and ``degenerate: true``.
     """
-    per_sample: dict[str, dict] = {}
-    missing = [qid for qid in qrels.sample_ids() if qid not in run]
-    for qid in [*run, *missing]:
-        ranked = run[qid] if qid in run else RankedList(qid)
-        relevant = qrels.relevant_ids(qid)
-        grades = qrels.for_sample(qid)
-        ms = metric_set(ranked, relevant, grades)
-        per_sample[qid] = {**ms.as_dict(), "degenerate": not relevant}
+    return run_report(score_queries(run, qrels), qrels)
+
+
+def score_queries(run: Mapping[str, RankedList], qrels: Qrels) -> dict[str, dict]:
+    """The ``per_sample`` entry of every query in ``run``, in run order. A
+    Run is scored from its id column."""
+    ids = run.ids if isinstance(run, Run) else lambda qid: run[qid].ids()
+    return {qid: _sample_metrics(ids(qid), qrels, qid) for qid in run}
+
+
+def _sample_metrics(ids: Sequence[str], qrels: Qrels, qid: str) -> dict:
+    relevant = qrels.relevant_ids(qid)
+    return {**_metrics(ids, relevant, qrels.for_sample(qid)).as_dict(), "degenerate": not relevant}
+
+
+def run_report(per_sample: dict[str, dict], qrels: Qrels) -> dict:
+    """``evaluate_run``'s report from ``score_queries`` of the run: the
+    judged queries missing from it are added, as zeros, to ``per_sample``,
+    and the aggregates summed in that order."""
+    missing = [qid for qid in qrels.sample_ids() if qid not in per_sample]
+    for qid in missing:
+        per_sample[qid] = _sample_metrics([], qrels, qid)
     n = len(per_sample)
     aggregate = {
         f.name: (sum(s[f.name] for s in per_sample.values()) / n if n else 0.0)

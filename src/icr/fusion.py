@@ -14,6 +14,7 @@ passage id ascending and truncated to the configured depth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,8 +31,8 @@ class FusionConfig:
     depth: int = 100
 
     def __post_init__(self) -> None:
-        if self.k <= 0:
-            raise ValueError(f"fusion k must be > 0, got {self.k}")
+        if not 0 < self.k < math.inf:
+            raise ValueError(f"fusion k must be finite and > 0, got {self.k}")
         if self.depth < 1:
             raise ValueError(f"fusion depth must be >= 1, got {self.depth}")
         if self.mode not in FUSION_MODES:

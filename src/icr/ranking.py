@@ -136,6 +136,11 @@ class Run(Mapping[str, RankedList]):
         start, stop = self._spans[qid]
         return RankedList(qid, list(zip(self._pids[start:stop], self._scores[start:stop].tolist())))
 
+    def ids(self, qid: str) -> list[str]:
+        """``self[qid].ids()``, sliced from the id column."""
+        start, stop = self._spans[qid]
+        return self._pids[start:stop]
+
     def __contains__(self, qid: object) -> bool:
         return qid in self._spans
 
@@ -196,13 +201,18 @@ _INT64 = range(-(2**63), 2**63)
 _CHUNK_CHARS = 1 << 16
 
 
-def read_run(path: str) -> Run:
+def read_run(path: str, start: int = 0, stop: int | None = None) -> Run:
     """Read a TREC run file into a Run of per-query RankedLists.
 
     Entries follow the file's rank column (file order among equal ranks);
     queries keep first-seen order. A docid repeated within one query is a
     MalformedRecord, since a ranked list holds each passage once, and so is
     a non-finite score, which no ranking can order, or a rank outside int64.
+
+    With ``start`` or ``stop``, only the file's bytes ``[start, stop)`` are
+    read, under the same rules; they should begin at a line start. Errors
+    then count lines from ``start``, but invalid UTF-8 is named at the
+    file's first bad line.
     """
     codes: dict[str, int] = {}
     block_codes: list[int] = []  # one per run of lines with equal qids
@@ -215,7 +225,7 @@ def read_run(path: str) -> Run:
     # numpy 1.x reads a rank such as 1.5 via float with only a warning, and
     # numpy warns on a chunk of blank lines: as errors, both take the
     # per-line rules
-    with _open_text(path) as fh, warnings.catch_warnings():
+    with _open_text(path, start, stop) as fh, warnings.catch_warnings():
         warnings.simplefilter("error")
         while lines := fh.readlines(_CHUNK_CHARS):
             qids, sizes, chunk_pids, rank, score = _parse_chunk(path, lines, line_no, blank_lines)

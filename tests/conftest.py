@@ -151,6 +151,11 @@ def build_cli_workspace(root) -> dict[str, str]:
 
     mock = improve_then_plateau(rounds=3, attempts=4)
     plateau_script("kelpie", attempts=4, mock=mock)
+    # under crdg.f_mode = dense_only, "amber bison" leaves the gold's dense
+    # rank at 11, so s1 resamples; this second attempt lifts it to rank 10
+    # and lands on the plateau above, which then yields an ot pair
+    mock.add("clarify", clarify_fingerprint(tier_query(1)), "which four details?", 1)
+    mock.add("rewrite", rewrite_fingerprint(tier_query(1), "which four details?"), tier_query(4), 1)
     mock.add(
         "trajectory",
         "Q: what stone is amber\nA: a fossil resin\nQ: amber",

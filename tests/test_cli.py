@@ -217,6 +217,44 @@ def test_config_error_exit_code(tmp_path, ws, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flag, value, reason",
+    [
+        ("--k", "nan", "expected a finite number, got 'nan'"),
+        ("--k", "inf", "expected a finite number, got 'inf'"),
+        ("--k", "0", "must be > 0.0, got 0.0"),
+        ("--k", "-1", "must be > 0.0, got -1.0"),
+        ("--depth", "0", "must be >= 1, got 0"),
+    ],
+    ids=["k-nan", "k-inf", "k-0", "k-minus-1", "depth-0"],
+)
+def test_a_bad_fuse_flag_is_a_usage_error_naming_it(tmp_path, capsys, flag, value, reason):
+    """The flags get the checks of their config keys, fusion.k and fusion.depth."""
+    run, out = tmp_path / "one.trec", tmp_path / "fused.trec"
+    run.write_text("q1 Q0 d1 1 1.0 ICR\n", encoding="utf-8")
+    assert main(["fuse", str(run), flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"usage error: argument {flag}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.trec"]
+
+
+@pytest.mark.parametrize(
+    "value, reason",
+    [
+        ("a", "expected an integer, got 'a'"),
+        ("4,,5", "expected an integer, got ''"),
+        ("0", "must be >= 1, got 0"),
+        ("-1", "must be >= 1, got -1"),
+    ],
+    ids=["a", "empty-item", "0", "minus-1"],
+)
+def test_a_bad_analyze_length_is_a_usage_error(tmp_path, capsys, value, reason):
+    crdg, out = tmp_path / "dcr.jsonl", tmp_path / "analysis.json"
+    crdg.write_text("", encoding="utf-8")
+    assert main(["analyze", "--crdg", str(crdg), "--lengths", value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"usage error: argument --lengths: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dcr.jsonl"]
+
+
 def test_provider_error_exit_code(ws, monkeypatch, capsys):
     class DownClient:
         def generate(self, kind, fingerprint, prompt, attempt=0):

@@ -402,3 +402,14 @@ def test_vectors_of_the_wrong_shape_are_data_errors(tmp_path):
     (path / "vectors.npy").write_bytes(b"not an npy file")
     with pytest.raises(DataError, match="not a dense index"):
         load_dense_index(str(path))
+
+
+def test_meta_json_bytes_are_pinned(tmp_path):
+    """meta.json is compact, key-sorted UTF-8 with non-ASCII ids unescaped."""
+    passages = [Passage("z9", "zeta"), Passage("é2", "accent"), Passage("日本", "kanji"), Passage('q"1', "quote")]
+    save_dense_index(build_dense_index(passages, HashEmbeddingProvider(dim=8)), str(tmp_path / "dense.idx"))
+    expected = (
+        '{"dim":8,"format":"icr-dense-index","ids":["z9","é2","日本","q\\"1"],'
+        '"provider":"hash-8","version":2}'
+    )
+    assert (tmp_path / "dense.idx" / "meta.json").read_bytes() == expected.encode("utf-8")

@@ -16,6 +16,9 @@ def _list(tag, ids):
 def test_config_validation():
     with pytest.raises(ValueError):
         FusionConfig(k=0)
+    for k in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            FusionConfig(k=k)
     with pytest.raises(ValueError):
         FusionConfig(depth=0)
     with pytest.raises(ValueError):

@@ -1,10 +1,14 @@
-"""Property: ``evaluate_run`` over the library's readers reports what the
-metric oracle computes from the definitions over the oracle run reader."""
+"""Property: ``evaluate_run`` over the library's readers, and
+``workers.evaluate_file`` on forked workers, report what the metric oracle
+computes from the definitions over the oracle run reader."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from icr import workers
 from icr.corpus import load_qrels
 from icr.evaluation import evaluate_run
 from icr.ranking import read_run
@@ -19,13 +23,13 @@ PIDS = [f"d{i}" for i in range(14)]
 
 
 @st.composite
-def run_and_qrels(draw) -> tuple[str, str]:
+def run_and_qrels(draw, min_queries: int = 0) -> tuple[str, str]:
     """A run whose lists reach past rank 10, with tied ranks and queries
     split over blocks, and graded qrels with zero grades, repeated lines,
     judged queries missing from the run and run queries never judged."""
     rows = []
-    for qid in draw(st.lists(st.sampled_from(QIDS), unique=True)):
-        pids = draw(st.lists(st.sampled_from(PIDS), unique=True, max_size=len(PIDS)))
+    for qid in draw(st.lists(st.sampled_from(QIDS), unique=True, min_size=min_queries)):
+        pids = draw(st.lists(st.sampled_from(PIDS), unique=True, min_size=min(min_queries, 1), max_size=len(PIDS)))
         rows += [(qid, pid, draw(st.integers(1, 12)), draw(st.sampled_from([1.0, 0.5, 0.25]))) for pid in pids]
     rows = draw(st.permutations(rows))
     run = "".join(f"{qid} Q0 {pid} {rank} {score!r} T\n" for qid, pid, rank, score in rows)
@@ -35,6 +39,27 @@ def run_and_qrels(draw) -> tuple[str, str]:
     ))
     qrels = "".join(f"{qid} 0 {pid} {grade}\n" for qid, pid, grade in judged)
     return run, qrels
+
+
+@st.composite
+def grouped_run_and_qrels(draw) -> tuple[str, str]:
+    """``run_and_qrels`` with each query's lines together, as runs are
+    written, except that the first query's last lines may be moved to the
+    end, one of them judged relevant; lines end with LF or CRLF, and blank
+    lines may come anywhere."""
+    run, qrels = draw(run_and_qrels(min_queries=3))
+    lines = run.splitlines()
+    first_seen = list(dict.fromkeys(line.split()[0] for line in lines))
+    lines.sort(key=lambda line: first_seen.index(line.split()[0]))
+    first = sum(1 for line in lines if line.startswith(f"{first_seen[0]} "))
+    if first > 1 and draw(st.booleans()):
+        moved = draw(st.integers(1, first - 1))
+        lines = lines[: first - moved] + lines[first:] + lines[first - moved : first]
+        qrels += f"{first_seen[0]} 0 {lines[-1].split()[2]} 1\n"
+    text = ""
+    for line in lines:
+        text += draw(st.sampled_from(["", "", "\n", " \r\n"])) + line + draw(st.sampled_from(["\n", "\r\n"]))
+    return text, qrels
 
 
 def _close(got, want) -> bool:
@@ -57,5 +82,24 @@ def test_evaluate_run_matches_the_metric_oracle(tmp_path_factory):
         want = oracle_evaluate(oracle_read_run(str(run)), str(qrels))
         assert list(got["per_sample"]) == list(want["per_sample"])
         assert _close(got, want)
+
+    check()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
+def test_evaluate_on_workers_matches_the_metric_oracle(tmp_path_factory, monkeypatch):
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(grouped_run_and_qrels(), st.integers(2, 6))
+    def check(files, cpus):
+        root = tmp_path_factory.mktemp("eval")
+        run, qrels = root / "run.trec", root / "qrels.txt"
+        run.write_bytes(files[0].encode())
+        qrels.write_text(files[1])
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        got = workers.evaluate_file(str(run), load_qrels(str(qrels)))
+        want = oracle_evaluate(oracle_read_run(str(run)), str(qrels))
+        assert list(got["per_sample"]) == list(want["per_sample"])
+        assert _close(got, want)
+        assert got == evaluate_run(read_run(str(run)), load_qrels(str(qrels)))
 
     check()
