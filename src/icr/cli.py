@@ -38,7 +38,7 @@ from .manifest import RunManifest, load_manifest, verify_outputs
 from .pipeline import RETRIEVER_CHOICES, emit_per_query_runs, emit_run, measure_latency, run_batch
 from .ranking import RankedList, read_run, write_run
 from .sparse_index import build_sparse_index, load_sparse_index, save_sparse_index
-from .workers import evaluate_file, read_runs, write_shards
+from .workers import evaluate_file, fuse_files
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -201,18 +201,19 @@ def cmd_fuse(args, config: Config) -> tuple[list, list]:
         mode=args.mode or config.fusion.mode,
         depth=args.depth if args.depth is not None else config.fusion.depth,
     )
-    runs = read_runs(args.runs)
-    sample_ids = list(dict.fromkeys(qid for run in runs for qid in run))
 
-    def fused(qids):
-        for qid in qids:
-            # a query stops at the last run that holds it, as in
-            # emit_per_query_runs, so final_only takes its own last list
-            last = max(i for i, run in enumerate(runs) if qid in run)
-            yield fuse([run.get(qid, RankedList(qid)) for run in runs[: last + 1]], fusion, tag=qid)
+    def write(runs, qids, path):
+        def fused():
+            for qid in qids:
+                # a query stops at the last run that holds it, as in
+                # emit_per_query_runs, so final_only takes its own last list
+                last = max(i for i, run in enumerate(runs) if qid in run)
+                yield fuse([run.get(qid, RankedList(qid)) for run in runs[: last + 1]], fusion, tag=qid)
 
-    write_shards(sample_ids, lambda qids, path: write_run(fused(qids), path), args.out)
-    print(f"fused {len(args.runs)} runs over {len(sample_ids)} queries -> {args.out}")
+        write_run(fused(), path)
+
+    queries = fuse_files(args.runs, write, args.out)
+    print(f"fused {len(args.runs)} runs over {queries} queries -> {args.out}")
     return args.runs, [args.out]
 
 

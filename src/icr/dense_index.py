@@ -238,16 +238,21 @@ def load_dense_index(path: str) -> DenseIndex:
     """Load an index written by ``save_dense_index`` (version 2 only); the
     vectors are memory-mapped, not read."""
     with open(os.path.join(path, "meta.json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("format") != DENSE_FORMAT:
+        try:
+            meta = json.load(fh)
+        except ValueError as e:
+            raise DataError(f"{path}: not a dense index artifact ({e})") from e
+    if not isinstance(meta, dict) or meta.get("format") != DENSE_FORMAT:
         raise DataError(f"{path}: not a dense index artifact")
     if meta.get("version") != DENSE_VERSION:
         raise DataError(
             f"{path}: unsupported dense index version {meta.get('version')}; "
             f"re-run embed-index to write version {DENSE_VERSION}"
         )
-    ids = [str(i) for i in meta["ids"]]
-    dim = int(meta["dim"])
+    ids, dim, provider = meta.get("ids"), meta.get("dim"), meta.get("provider")
+    if not isinstance(ids, list) or type(dim) is not int or not isinstance(provider, str):
+        raise DataError(f"{path}: dense index meta.json needs a list of ids, an integer dim and a provider name")
+    ids = [str(i) for i in ids]
     try:
         vectors = np.load(os.path.join(path, "vectors.npy"), mmap_mode="r")
         id_rank = np.load(os.path.join(path, "id_rank.npy"))
@@ -259,7 +264,7 @@ def load_dense_index(path: str) -> DenseIndex:
         vectors,
         ids,
         {pid: i for i, pid in enumerate(ids)},
-        meta["provider"],
+        provider,
         dim,
         stored_id_ranks(path, id_rank, len(ids)),
     )

@@ -184,6 +184,9 @@ def load_manifest(path: str) -> dict:
             raise DataError(f"{path}: not a run manifest ({e})") from e
     if not isinstance(manifest, dict):
         raise DataError(f"{path}: not a run manifest")
+    for section in ("inputs", "outputs"):
+        if not isinstance(manifest.get(section, {}), dict):
+            raise DataError(f"{path}: not a run manifest ({section!r} is not an object)")
     return manifest
 
 

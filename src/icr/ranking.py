@@ -7,13 +7,11 @@ ascending, no duplicate ids, truncated to the requested depth.
 
 from __future__ import annotations
 
-import pickle
-import struct
 import warnings
 from array import array
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -149,48 +147,6 @@ class Run(Mapping[str, RankedList]):
 
     def __len__(self) -> int:
         return len(self._spans)
-
-    def dump(self, out: BinaryIO) -> None:
-        """Write the columns to a binary stream, for ``Run.load``: the spans
-        pickled, the scores as raw float64, then the passage ids joined by
-        newlines (no id holds whitespace) a slice at a time, so neither end
-        holds a second copy of the ids whole."""
-        _put(out, pickle.dumps(self._spans))
-        _put(out, self._scores)
-        for start in range(0, len(self._pids), _IDS_PER_FRAME):
-            _put(out, "\n".join(self._pids[start : start + _IDS_PER_FRAME]).encode())
-
-    @classmethod
-    def load(cls, src: BinaryIO) -> Run:
-        """The Run that ``dump`` wrote; EOFError if the stream ends first."""
-        spans = pickle.loads(_take(src))
-        scores = np.frombuffer(_take(src), dtype=np.float64)
-        pids: list[str] = []
-        while len(pids) < len(scores):
-            pids += _take(src).decode().split("\n")
-        return cls(pids, scores, spans)
-
-
-_FRAME = struct.Struct("<Q")
-_IDS_PER_FRAME = 1 << 15
-
-
-def _put(out: BinaryIO, data) -> None:
-    """Write one length-prefixed frame of bytes-like ``data``."""
-    view = memoryview(data)
-    out.write(_FRAME.pack(view.nbytes))
-    out.write(view)
-
-
-def _take(src: BinaryIO) -> bytes:
-    """Read one frame that ``_put`` wrote."""
-    head = src.read(_FRAME.size)
-    if len(head) == _FRAME.size:
-        (size,) = _FRAME.unpack(head)
-        data = src.read(size)
-        if len(data) == size:
-            return data
-    raise EOFError("run stream ended inside a frame")
 
 
 _INT64 = range(-(2**63), 2**63)

@@ -73,8 +73,8 @@ class Bm25Params:
     b: float = 0.4
 
     def __post_init__(self) -> None:
-        if self.k1 < 0:
-            raise ValueError(f"k1 must be >= 0, got {self.k1}")
+        if not 0 <= self.k1 < math.inf:
+            raise ValueError(f"k1 must be finite and >= 0, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
 
@@ -271,7 +271,13 @@ def load_sparse_index(path: str) -> SparseIndex:
             offsets = offsets.astype(np.int64)
     except (KeyError, ValueError, zipfile.BadZipFile) as e:
         raise DataError(f"{path}: not a sparse index artifact ({e})") from e
-    ids, terms = meta["ids"], meta["terms"]
+    ids, terms, params = meta.get("ids"), meta.get("terms"), meta.get("params")
+    if not isinstance(ids, list) or not isinstance(terms, list) or not isinstance(params, dict):
+        raise DataError(f"{path}: sparse index meta needs lists of ids and terms and a params object")
+    try:
+        params = Bm25Params(**params)
+    except (TypeError, ValueError) as e:
+        raise DataError(f"{path}: sparse index params are invalid ({e})") from e
     if (
         not ids
         or len(doc_lengths) != len(ids)
@@ -289,7 +295,7 @@ def load_sparse_index(path: str) -> SparseIndex:
     if len(ords) and (ords.min() < 0 or ords.max() >= len(ids)):
         raise DataError(f"{path}: sparse index ordinals out of range")
     return SparseIndex(
-        Bm25Params(**meta["params"]),
+        params,
         dict(zip(terms, range(len(terms)))),
         offsets,
         ords.astype(np.int32),

@@ -413,3 +413,24 @@ def test_meta_json_bytes_are_pinned(tmp_path):
         '"provider":"hash-8","version":2}'
     )
     assert (tmp_path / "dense.idx" / "meta.json").read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda meta: "{not json",
+        lambda meta: {k: v for k, v in meta.items() if k != "ids"},
+        lambda meta: dict(meta, ids=5),
+        lambda meta: dict(meta, dim="x"),
+        lambda meta: dict(meta, provider=None),
+        lambda meta: [meta],
+    ],
+    ids=["invalid-json", "no-ids", "ids-not-a-list", "dim-not-an-integer", "provider-not-a-string", "not-an-object"],
+)
+def test_a_malformed_meta_json_is_a_data_error_naming_the_index(tmp_path, edit):
+    _, path = _saved(tmp_path)
+    meta = edit(json.loads((path / "meta.json").read_text(encoding="utf-8")))
+    (path / "meta.json").write_text(meta if isinstance(meta, str) else json.dumps(meta), encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_dense_index(str(path))
+    assert str(err.value).startswith(f"{path}: ")

@@ -208,3 +208,11 @@ def test_verify_of_a_file_that_is_not_a_manifest_is_a_data_error(ws, capsys):
         path.write_text(text, encoding="utf-8")
         assert main(["verify", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"data error: {path}: not a run manifest")
+
+
+@pytest.mark.parametrize("section", ["inputs", "outputs"])
+def test_verify_of_a_manifest_whose_section_is_not_an_object_is_a_data_error(ws, capsys, section):
+    path = ws["out"] / "x.manifest.json"
+    path.write_text(json.dumps({"command": "fuse", section: [str(path)]}), encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"data error: {path}: not a run manifest ({section!r} is not an object)\n"

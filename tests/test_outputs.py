@@ -217,18 +217,19 @@ def test_main_restores_the_sigterm_handler(ws, capsys):
     capsys.readouterr()
 
 
-# Fuses one run (so the reading forks no worker) on two processes, and sends
-# itself SIGTERM once the forked worker has written its shard.
+# Fuses one run on two processes, and sends itself SIGTERM once the forked
+# worker has written its shard and been reaped.
 TERMINATED_FUSE = """
 import os, signal, sys
 from icr import cli, workers
 workers.usable_cpus = lambda: 2
-succeeded = workers._Workers.succeeded
-def then_terminate(self, pid):
-    done = succeeded(self, pid)
+in_workers = workers._in_workers
+def then_terminate(work, n):
+    parts = in_workers(work, n)
+    assert n == 2 and parts[1] is not None
     os.kill(os.getpid(), signal.SIGTERM)
-    return done
-workers._Workers.succeeded = then_terminate
+    return parts
+workers._in_workers = then_terminate
 sys.exit(cli.main(sys.argv[1:]))
 """
 

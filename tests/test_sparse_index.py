@@ -378,3 +378,29 @@ def test_load_takes_the_stored_id_ranks(tmp_path, monkeypatch):
     loaded = load_sparse_index(str(path))
     assert loaded.id_rank.tolist() == [2, 1, 0]
     assert search_sparse(loaded, "a", 3).ids() == ["p1", "p10", "p2"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda meta: {k: v for k, v in meta.items() if k != "ids"},
+        lambda meta: dict(meta, ids=7),
+        lambda meta: dict(meta, terms={"a": 0}),
+        lambda meta: dict(meta, params={"k1": "x"}),
+        lambda meta: dict(meta, params={"k1": math.nan, "b": 0.4}),
+        lambda meta: dict(meta, params={"k1": 0.9, "c": 1}),
+        lambda meta: dict(meta, params=[0.9, 0.4]),
+    ],
+    ids=["no-ids", "ids-not-a-list", "terms-not-a-list", "k1-not-a-number", "k1-nan", "unknown-param", "params-not-an-object"],
+)
+def test_a_malformed_meta_member_is_a_data_error_naming_the_index(tmp_path, edit):
+    good = tmp_path / "good.idx"
+    save_sparse_index(build_sparse_index([Passage("p1", "a b"), Passage("p2", "b")]), str(good))
+    members = _members(good)
+    meta = edit(json.loads(members["meta"].tobytes().decode("utf-8")))
+    members["meta"] = _to_planes(np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
+    bad = tmp_path / "bad.idx"
+    _write_members(bad, members)
+    with pytest.raises(DataError) as err:
+        load_sparse_index(str(bad))
+    assert str(err.value).startswith(f"{bad}: ")

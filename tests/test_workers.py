@@ -4,8 +4,9 @@ nothing behind."""
 
 from __future__ import annotations
 
-import io
+import contextlib
 import json
+import mmap
 import os
 import random
 import signal
@@ -16,11 +17,12 @@ import pytest
 from icr import cli, workers
 from icr.evaluation import evaluate_run
 from icr.manifest import load_manifest
-from icr.ranking import RankedList, Run, read_run, write_run
+from icr.ranking import RankedList, read_run, write_run
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
 
 QUERIES = [f"q{n}" for n in range(10)]
+PIDS = [f"d{n}" for n in range(12)]
 
 
 def _ragged_runs(root: Path) -> list[str]:
@@ -33,6 +35,25 @@ def _ragged_runs(root: Path) -> list[str]:
         lists = []
         for qid in qids:
             pids = rng.sample([f"p{n}" for n in range(60)], rng.randint(1, 40))
+            lists.append(RankedList(qid, [(pid, float(rng.randint(0, 5))) for pid in pids]))
+        path = root / f"iter_{i:02d}.trec"
+        write_run(lists, str(path))
+        paths.append(str(path))
+    return paths
+
+
+def _nested_runs(root: Path) -> list[str]:
+    """Four iteration runs nested as ``infer --per-query-dir`` writes them:
+    each holds the queries of the one before that went on iterating, in the
+    same order. The deepest holds one query, q14, which is also the query
+    that the two-process cuts fall at, so that file is cut at offset 0."""
+    rng = random.Random(20)
+    qids = [f"q{n:02d}" for n in range(24)]
+    paths = []
+    for i, members in enumerate([qids, qids[4:], qids[6::4], ["q14"]], 1):
+        lists = []
+        for qid in members:
+            pids = rng.sample([f"p{n}" for n in range(60)], rng.randint(5, 30))
             lists.append(RankedList(qid, [(pid, float(rng.randint(0, 5))) for pid in pids]))
         path = root / f"iter_{i:02d}.trec"
         write_run(lists, str(path))
@@ -61,33 +82,108 @@ def forked(monkeypatch) -> list[int]:
     return pids
 
 
+@pytest.fixture
+def reads(monkeypatch) -> list[tuple]:
+    """The arguments of every ``read_run`` call that ``workers`` makes in
+    this process."""
+    calls: list[tuple] = []
+
+    def recording(*args):
+        calls.append(args)
+        return read_run(*args)
+
+    monkeypatch.setattr(workers, "read_run", recording)
+    return calls
+
+
 def _assert_reaped(pids: list[int]) -> None:
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
 
 
+def _ranges(paths: list[str], cpus: int) -> int:
+    first = workers._shared_cuts(paths, cpus)[0]
+    return 1 if first is None else len(first) - 1
+
+
 @pytest.mark.parametrize("mode", ["rrf", "prrf", "final_only"])
 def test_forced_workers_fuse_the_bytes_of_one(tmp_path, monkeypatch, capsys, forked, mode):
-    paths = _ragged_runs(tmp_path)
     outputs = {}
-    for cpus in (1, 2, 3, 16):  # 16 is more workers than files or queries
-        out = tmp_path / f"fused.{cpus}.trec"
-        assert _fuse(monkeypatch, cpus, [*paths, "--mode", mode, "--depth", "25", "--out", str(out)]) == 0
-        manifest = load_manifest(f"{out}.manifest.json")
-        outputs[cpus] = out.read_bytes(), manifest["inputs"], list(manifest["outputs"].values())
-        assert capsys.readouterr().out == f"fused 3 runs over 10 queries -> {out}\n"
-    assert outputs[1][0].count(b"\n") > 100
-    assert all(got == outputs[1] for got in outputs.values())
-    assert len(forked) == (1 + 1) + (2 + 2) + (2 + 9)  # readers, then writers
+    for name, runs in (("nested", _nested_runs), ("ragged", _ragged_runs)):
+        (tmp_path / name).mkdir()
+        paths = runs(tmp_path / name)
+        for cpus in (1, 2, 3, 16):  # 16 is more processes than some files have queries
+            out = tmp_path / name / f"fused.{cpus}.trec"
+            assert _fuse(monkeypatch, cpus, [*paths, "--mode", mode, "--depth", "25", "--out", str(out)]) == 0
+            manifest = load_manifest(f"{out}.manifest.json")
+            outputs[name, cpus] = out.read_bytes(), manifest["inputs"], list(manifest["outputs"].values())
+            stdout = capsys.readouterr().out
+            assert stdout == f"fused {len(paths)} runs over {24 if name == 'nested' else 10} queries -> {out}\n"
+        assert outputs[name, 1][0].count(b"\n") > 100
+        assert all(outputs[name, cpus] == outputs[name, 1] for cpus in (2, 3, 16))
+        assert sorted(os.listdir(tmp_path / name)) == sorted(
+            [Path(p).name for p in paths] + [f"fused.{c}.trec{s}" for c in (1, 2, 3, 16) for s in ("", ".manifest.json")]
+        )
     _assert_reaped(forked)
-    assert sorted(os.listdir(tmp_path)) == sorted(
-        [Path(p).name for p in paths] + [f"fused.{c}.trec{s}" for c in (1, 2, 3, 16) for s in ("", ".manifest.json")]
-    )
+
+
+def test_nested_runs_are_fused_in_ranges_of_whole_queries(tmp_path, monkeypatch, capsys, forked, reads):
+    paths = _nested_runs(tmp_path)
+    # the deepest run is cut at offset 0 on two processes and read whole on three
+    assert [workers._shared_cuts(paths, 2)[3][1], workers._shared_cuts(paths, 3)[3]] == [0, None]
+    for cpus in (2, 3, 16):
+        n = _ranges(paths, cpus)
+        assert n == cpus
+        del forked[:], reads[:]
+        assert _fuse(monkeypatch, cpus, [*paths, "--out", str(tmp_path / "fused.trec")]) == 0
+        assert len(forked) == n - 1
+        # each file is read once here: its first range, or whole if it is not cut
+        cuts = workers._shared_cuts(paths, cpus)
+        assert reads == [(p,) if c is None else (p, c[0], c[1]) for p, c in zip(paths, cuts)]
+        _assert_reaped(forked)
+    capsys.readouterr()
+
+
+def test_a_boundary_is_the_first_line_that_starts_with_its_query(tmp_path):
+    run = tmp_path / "run.trec"
+    data = b"s1\tQ0 p 1 1.0 T\r\ns10 Q0 p 1 1.0 T\n s2 Q0 p 1 1.0 T\ns2 Q0 p 2 1.0 T\ns1 Q0 q 2 1.0 T\n"
+    run.write_bytes(data)
+    with open(run, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+        got = [workers._first_line(mm, qid) for qid in (b"s1", b"s10", b"s2", b"s3", b"Q0")]
+    # a line that starts with a blank starts with no query
+    assert got == [0, data.index(b"s10"), data.index(b"\ns2 ") + 1, -1, -1]
+    assert workers._cuts_at(str(run), [b"s10", b"s2"]) == [0, got[1], got[2], len(data)]
+    assert workers._cuts_at(str(run), [b"s1", b"s2"]) == [0, 0, got[2], len(data)]
+    for path, qids in [(run, [b"s2", b"s10"]), (run, [b"s10", b"s3"]), (tmp_path / "missing", [b"s1"])]:
+        assert workers._cuts_at(str(path), qids) is None
+    empty = tmp_path / "empty.trec"
+    empty.write_bytes(b"")
+    assert workers._cuts_at(str(empty), [b"s1"]) is None
+    # a file in another query order holds the boundaries out of order
+    paths = _nested_runs(tmp_path)
+    lines = Path(paths[1]).read_bytes().splitlines(keepends=True)
+    Path(paths[1]).write_bytes(b"".join(sorted(lines, key=lambda line: line.split()[0], reverse=True)))
+    assert workers._shared_cuts(paths, 3)[1] is None
+    assert all(cuts is not None for cuts in workers._shared_cuts(paths, 3)[:3:2])
+
+
+def test_runs_that_are_not_nested_are_fused_in_one_process(tmp_path, monkeypatch, capsys, forked, reads):
+    paths = _ragged_runs(tmp_path)
+    for cpus in (2, 3, 4, 16):
+        del reads[:]
+        assert _fuse(monkeypatch, cpus, [*paths, "--out", str(tmp_path / "fused.trec")]) == 0
+        assert reads[-len(paths) :] == [(p,) for p in paths]
+    # on two and four processes every file is cut, but the ranges do not
+    # hold whole queries of the first file, so they are read again whole
+    assert [_ranges(paths, cpus) for cpus in (2, 3, 4, 16)] == [2, 1, 4, 1]
+    assert len(forked) == 1 + 3
+    _assert_reaped(forked)
+    capsys.readouterr()
 
 
 def test_fuse_without_fork_runs_in_one_process(tmp_path, monkeypatch):
-    paths = _ragged_runs(tmp_path)
+    paths = _nested_runs(tmp_path)
     assert _fuse(monkeypatch, 1, [*paths, "--out", str(tmp_path / "one.trec")]) == 0
     monkeypatch.undo()
     monkeypatch.delattr(os, "fork")
@@ -102,20 +198,30 @@ def _spoil(path: str, line_no: int) -> None:
     Path(path).write_text("".join(lines))
 
 
-@pytest.mark.parametrize("spoiled", [[3], [1, 2], [2, 3]], ids=["last", "worker-first", "here-first"])
+@pytest.mark.parametrize(
+    "spoiled",
+    [[(4, 2)], [(1, -1), (2, 4)], [(1, 4), (2, -1)]],
+    ids=["last", "worker-first", "here-first"],
+)
 def test_a_malformed_run_gives_the_error_of_one_process(tmp_path, monkeypatch, capsys, forked, spoiled):
-    paths = _ragged_runs(tmp_path)
-    for i in spoiled:
-        _spoil(paths[i - 1], 4)
-    # the largest file, iter_02, is read here and each worker reads one
-    assert workers._shares_by_size(paths, 3) == [[1], [0], [2]]
+    paths = _nested_runs(tmp_path)
+    # line 4 is in this process's range and the last line (-1) in a
+    # worker's; the last run is read whole by every range
+    cuts = workers._shared_cuts(paths, 3)
+    assert cuts[3] is None
+    lines = [Path(p).read_bytes().splitlines(keepends=True) for p in paths]
+    for i in (0, 1):
+        assert sum(map(len, lines[i][:4])) < cuts[i][1] and cuts[i][2] < sum(map(len, lines[i][:-1]))
+    spoiled = [(i, line_no % (len(lines[i - 1]) + 1)) for i, line_no in spoiled]
+    for i, line_no in spoiled:
+        _spoil(paths[i - 1], line_no)
     results = {}
     for cpus in (1, 3):
         assert _fuse(monkeypatch, cpus, [*paths, "--out", str(tmp_path / "fused.trec")]) == 2
         results[cpus] = capsys.readouterr()
-    first = paths[spoiled[0] - 1]
+    first, line_no = paths[spoiled[0][0] - 1], spoiled[0][1]
     assert results[3] == results[1]
-    assert results[3].err == f"data error: {first}:4: expected 6 columns: qid Q0 docid rank score tag\n"
+    assert results[3].err == f"data error: {first}:{line_no}: expected 6 columns: qid Q0 docid rank score tag\n"
     assert len(forked) == 2
     _assert_reaped(forked)
     assert sorted(os.listdir(tmp_path)) == [Path(p).name for p in paths]
@@ -123,83 +229,132 @@ def test_a_malformed_run_gives_the_error_of_one_process(tmp_path, monkeypatch, c
 
 @pytest.mark.parametrize("directory", [True, False], ids=["out-is-a-directory", "missing-directory"])
 def test_a_write_error_leaves_no_worker_and_no_temporary_file(tmp_path, monkeypatch, capsys, forked, directory):
-    paths = _ragged_runs(tmp_path)
+    paths = _nested_runs(tmp_path)
     if directory:
-        # opening it for writing fails after the writers have forked
-        out, error, writers = tmp_path / "out", "[Errno 21] Is a directory", 3
+        # putting the output in place fails after every range is written
+        out, error, workers_forked = tmp_path / "out", "[Errno 21] Is a directory", 3
         out.mkdir()
     else:
-        # no temporary file can be made beside it, so this process writes alone
-        out, error, writers = tmp_path / "missing" / "out", "[Errno 2] No such file or directory", 0
+        # no temporary file can be made beside it, so nothing is read
+        out, error, workers_forked = tmp_path / "missing" / "out", "[Errno 2] No such file or directory", 0
     results = {}
     for cpus in (1, 4):
         assert _fuse(monkeypatch, cpus, [*paths, "--out", str(out)]) == 2
         results[cpus] = capsys.readouterr().err
     assert results[4] == results[1] == f"data error: {error}: '{out}'\n"
-    assert len(forked) == 2 + writers
+    assert len(forked) == workers_forked
     _assert_reaped(forked)
     assert sorted(os.listdir(tmp_path)) == sorted([Path(p).name for p in paths] + ["out"] * directory)
 
 
 def test_ctrl_c_kills_and_reaps_the_workers(tmp_path, monkeypatch, forked):
-    paths = _ragged_runs(tmp_path)
+    paths = _nested_runs(tmp_path)
     out = str(tmp_path / "fused.trec")
     parent = os.getpid()
+    for stop in ("ctrl-c", "sigterm"):
 
-    def interrupted(lists, path):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        write_run(lists, path)
+        def interrupted(lists, path):
+            if os.getpid() == parent:
+                if stop == "ctrl-c":
+                    raise KeyboardInterrupt
+                os.kill(parent, signal.SIGTERM)
+            write_run(lists, path)
 
-    monkeypatch.setattr(cli, "write_run", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        _fuse(monkeypatch, 4, [*paths, "--out", out])
-    assert len(forked) == 2 + 3
+        monkeypatch.setattr(cli, "write_run", interrupted)
+        with pytest.raises(KeyboardInterrupt if stop == "ctrl-c" else SystemExit) as stopped:
+            _fuse(monkeypatch, 4, [*paths, "--out", out])
+        if stop == "sigterm":
+            assert stopped.value.code == 128 + signal.SIGTERM
+    assert len(forked) == 2 * 3
     _assert_reaped(forked)
     assert sorted(os.listdir(tmp_path)) == [Path(p).name for p in paths]
 
 
-def test_failed_workers_are_redone_in_this_process(tmp_path, monkeypatch, forked):
-    paths = _ragged_runs(tmp_path)
+def test_failed_workers_are_redone_in_this_process(tmp_path, monkeypatch, forked, reads):
+    paths = _nested_runs(tmp_path)
     assert _fuse(monkeypatch, 1, [*paths, "--out", str(tmp_path / "one.trec")]) == 0
     parent = os.getpid()
 
-    def fail_in_workers(real):
-        def wrapped(*args):
-            if os.getpid() != parent:
-                raise OSError("worker failed")
-            return real(*args)
+    def fail_in_workers(lists, path):
+        if os.getpid() != parent:
+            raise OSError("worker failed")
+        write_run(lists, path)
 
-        return wrapped
-
-    # every reader fails to send, then every writer fails to write
-    monkeypatch.setattr(Run, "dump", fail_in_workers(Run.dump))
-    monkeypatch.setattr(cli, "write_run", fail_in_workers(write_run))
+    # every worker fails to write its shard
+    monkeypatch.setattr(cli, "write_run", fail_in_workers)
+    del reads[:]
     assert _fuse(monkeypatch, 3, [*paths, "--out", str(tmp_path / "redone.trec")]) == 0
     assert (tmp_path / "redone.trec").read_bytes() == (tmp_path / "one.trec").read_bytes()
-    assert len(forked) == 2 + 2
+    assert reads[-len(paths) :] == [(p,) for p in paths]
+    assert len(forked) == 2
     _assert_reaped(forked)
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        [Path(p).name for p in paths] + [f"{name}.trec{s}" for name in ("one", "redone") for s in ("", ".manifest.json")]
+    )
 
 
-def test_a_run_crosses_a_stream_unchanged(tmp_path):
-    paths = _ragged_runs(tmp_path)
-    empty = tmp_path / "empty.trec"
-    empty.write_text("")
-    buffer = io.BytesIO()
-    runs = [read_run(p) for p in [*paths, str(empty)]]
-    for run in runs:
-        run.dump(buffer)
-    end = buffer.tell()
-    buffer.seek(0)
-    for run in runs:
-        got = Run.load(buffer)
-        assert list(got) == list(run) and all(got[qid] == run[qid] for qid in run)
-    assert buffer.tell() == end
-    one = io.BytesIO()
-    runs[0].dump(one)
-    for cut in (0, 5, len(one.getvalue()) - 1):
-        with pytest.raises(EOFError):
-            Run.load(io.BytesIO(one.getvalue()[:cut]))
+def _iteration_runs(draw) -> list[bytes]:
+    """Run files nested as ``infer --per-query-dir`` writes them, with tied
+    scores, sometimes a deepest file holding one query, and sometimes: an
+    empty file, a query missing from the first file, a file in another
+    query order, a query whose lines are split within a file, tab
+    separators, CRLF line ends or one malformed line."""
+    from hypothesis import strategies as st
+
+    qids = [f"s{n}" for n in range(draw(st.integers(1, 12)))]  # s1 is a prefix of s10
+    depths = [draw(st.integers(1, 3)) for _ in qids]
+    if draw(st.booleans()):
+        depths[draw(st.integers(0, len(qids) - 1))] = 4
+    ranked = st.lists(st.tuples(st.sampled_from(PIDS), st.sampled_from([0.0, 1.0, 2.0])), min_size=1, max_size=9,
+                      unique_by=lambda entry: entry[0])
+    files = [[(qid, draw(ranked)) for qid, depth in zip(qids, depths) if depth > i] for i in range(max(depths))]
+    if draw(st.booleans()):
+        files.insert(draw(st.integers(1, len(files))), [])
+    if len(files) > 1 and draw(st.booleans()):
+        files[-1].insert(draw(st.integers(0, len(files[-1]))), ("s99", [("d1", 1.0)]))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(files) - 1))
+        files[i] = draw(st.permutations(files[i]))
+    sep, end = draw(st.sampled_from([" ", "\t"])), draw(st.sampled_from(["\n", "\r\n"]))
+    texts = [
+        [sep.join([qid, "Q0", pid, str(rank), repr(score), "T"]) + end for qid, entries in file
+         for rank, (pid, score) in enumerate(entries, 1)]
+        for file in files
+    ]
+    lines = draw(st.sampled_from(texts))
+    if len(lines) > 1 and draw(st.booleans()):
+        lines.append(lines.pop(draw(st.integers(0, len(lines) - 2))))
+    if lines and draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = lines[i].replace("Q0", "Q0 extra")
+    return ["".join(text).encode() for text in texts]
+
+
+def test_forced_workers_fuse_drawn_runs_as_one_process(tmp_path_factory, monkeypatch, capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(st.composite(_iteration_runs)(), st.sampled_from(["rrf", "prrf", "final_only"]), st.integers(1, 6))
+    def check(texts, mode, depth):
+        root = tmp_path_factory.mktemp("fuse")
+        paths = [str(root / f"iter_{i:02d}.trec") for i in range(1, len(texts) + 1)]
+        for path, text in zip(paths, texts):
+            Path(path).write_bytes(text)
+        out = root / "fused.trec"
+        results = {}
+        for cpus in (1, 2, 3, 16):
+            code = _fuse(monkeypatch, cpus, [*paths, "--mode", mode, "--depth", str(depth), "--out", str(out)])
+            results[cpus] = code, out.read_bytes() if code == 0 else None, capsys.readouterr()
+            assert sorted(os.listdir(root)) == sorted(
+                [Path(p).name for p in paths] + ["fused.trec", "fused.trec.manifest.json"] * (code == 0)
+            )
+            for name in ("fused.trec", "fused.trec.manifest.json"):
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(root / name)
+        assert all(got == results[1] for got in results.values())
+
+    check()
 
 
 def _ragged_eval(root: Path, split: bool = False) -> tuple[str, str]:
