@@ -111,7 +111,10 @@ def _dataset(args, config: Config):
 def _write_report(kind: str, report: dict, samples: int, path: str) -> None:
     """Write a JSON report to ``path`` and print a one-line summary."""
     with replacing(path) as temp, open(temp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
+        # streamed, so no string holds the whole report; with an indent,
+        # json.dumps runs the same Python encoder, so the bytes are the same
+        json.dump(report, fh, ensure_ascii=False, indent=2, sort_keys=True)
+        fh.write("\n")
     print(f"wrote {kind} report over {samples} samples -> {path}")
 
 
@@ -202,7 +205,7 @@ def cmd_fuse(args, config: Config) -> tuple[list, list]:
         depth=args.depth if args.depth is not None else config.fusion.depth,
     )
 
-    def write(runs, qids, path):
+    def write(runs, qids, fh):
         def fused():
             for qid in qids:
                 # a query stops at the last run that holds it, as in
@@ -210,7 +213,7 @@ def cmd_fuse(args, config: Config) -> tuple[list, list]:
                 last = max(i for i, run in enumerate(runs) if qid in run)
                 yield fuse([run.get(qid, RankedList(qid)) for run in runs[: last + 1]], fusion, tag=qid)
 
-        write_run(fused(), path)
+        write_run(fused(), fh)
 
     queries = fuse_files(args.runs, write, args.out)
     print(f"fused {len(args.runs)} runs over {queries} queries -> {args.out}")

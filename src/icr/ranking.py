@@ -7,11 +7,12 @@ ascending, no duplicate ids, truncated to the requested depth.
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from array import array
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -98,15 +99,17 @@ def top_k(
     )
 
 
-def write_run(lists: Iterable[RankedList], path: str, tag: str = "ICR") -> int:
-    """Write ranked lists as TREC run lines: ``qid Q0 docid rank score tag``.
+def write_run(lists: Iterable[RankedList], path: str | TextIO, tag: str = "ICR") -> int:
+    """Write ranked lists as TREC run lines: ``qid Q0 docid rank score tag``,
+    to the file at ``path``, or into ``path`` itself if it is an open text
+    file.
 
     Scores are written with full repr precision so a reloaded run reproduces
     the in-memory ordering exactly. Returns the number of empty lists
     encountered (they produce no lines).
     """
     empty = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") if isinstance(path, str) else contextlib.nullcontext(path) as fh:
         for rl in lists:
             if not rl.entries:
                 empty += 1

@@ -88,14 +88,16 @@ def test_evaluate_run_matches_the_metric_oracle(tmp_path_factory):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
 def test_evaluate_on_workers_matches_the_metric_oracle(tmp_path_factory, monkeypatch):
+    # tiny range budgets give each process several ranges
     @hypothesis.settings(max_examples=100, deadline=None, database=None)
-    @hypothesis.given(grouped_run_and_qrels(), st.integers(2, 6))
-    def check(files, cpus):
+    @hypothesis.given(grouped_run_and_qrels(), st.integers(2, 6), st.one_of(st.integers(1, 300), st.just(workers.BUDGET)))
+    def check(files, cpus, budget):
         root = tmp_path_factory.mktemp("eval")
         run, qrels = root / "run.trec", root / "qrels.txt"
         run.write_bytes(files[0].encode())
         qrels.write_text(files[1])
         monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(workers, "BUDGET", budget)
         got = workers.evaluate_file(str(run), load_qrels(str(qrels)))
         want = oracle_evaluate(oracle_read_run(str(run)), str(qrels))
         assert list(got["per_sample"]) == list(want["per_sample"])

@@ -22,6 +22,7 @@ import icr.prefdata as prefdata_mod
 import icr.ranking as ranking_mod
 import icr.sftdata as sftdata_mod
 import icr.sparse_index as sparse_mod
+import icr.workers as workers_mod
 from icr.cli import main
 from icr.genclient import ScriptedMock
 from icr.manifest import RACY_MARGIN_NS, load_manifest
@@ -118,7 +119,7 @@ WRITERS = {
     "manifest": ("sftdata", "sft.jsonl.manifest.json", manifest_mod),
     "emit_run": ("infer", "run.trec", ranking_mod),
     "emit_per_query_runs": ("infer", "iters/iter_01.trec", ranking_mod),
-    "fuse": ("fuse", "fused.trec", ranking_mod),
+    "fuse": ("fuse", "fused.trec", workers_mod),
     "report": ("evaluate", "report.json", cli),
 }
 
@@ -224,9 +225,9 @@ import os, signal, sys
 from icr import cli, workers
 workers.usable_cpus = lambda: 2
 in_workers = workers._in_workers
-def then_terminate(work, n):
-    parts = in_workers(work, n)
-    assert n == 2 and parts[1] is not None
+def then_terminate(work, blocks):
+    parts = in_workers(work, blocks)
+    assert len(blocks) == 2 and parts[-1] is not None
     os.kill(os.getpid(), signal.SIGTERM)
     return parts
 workers._in_workers = then_terminate

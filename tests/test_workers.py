@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import mmap
 import os
 import random
 import signal
@@ -145,14 +144,20 @@ def test_nested_runs_are_fused_in_ranges_of_whole_queries(tmp_path, monkeypatch,
     capsys.readouterr()
 
 
-def test_a_boundary_is_the_first_line_that_starts_with_its_query(tmp_path):
+def test_a_boundary_is_the_first_line_that_starts_with_its_query(tmp_path, monkeypatch):
     run = tmp_path / "run.trec"
     data = b"s1\tQ0 p 1 1.0 T\r\ns10 Q0 p 1 1.0 T\n s2 Q0 p 1 1.0 T\ns2 Q0 p 2 1.0 T\ns1 Q0 q 2 1.0 T\n"
     run.write_bytes(data)
-    with open(run, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
-        got = [workers._first_line(mm, qid) for qid in (b"s1", b"s10", b"s2", b"s3", b"Q0")]
-    # a line that starts with a blank starts with no query
-    assert got == [0, data.index(b"s10"), data.index(b"\ns2 ") + 1, -1, -1]
+    last = data.rindex(b"s1 ")
+    for block in (1, 2, 3, 5, 1 << 20):  # a query id can straddle two reads
+        monkeypatch.setattr(workers, "_BLOCK", block)
+        with open(run, "rb") as fh:
+            got = [workers._first_line(fh, qid, 0) for qid in (b"s1", b"s10", b"s2", b"s3", b"Q0")]
+            # the search starts at the line it is given
+            assert [workers._first_line(fh, qid, got[1]) for qid in (b"s1", b"s10")] == [last, got[1]]
+        # a line that starts with a blank starts with no query
+        assert got == [0, data.index(b"s10"), data.index(b"\ns2 ") + 1, -1, -1]
+    assert workers._cuts_at(str(run), [b"s10", b"s1"]) == [0, got[1], last, len(data)]
     assert workers._cuts_at(str(run), [b"s10", b"s2"]) == [0, got[1], got[2], len(data)]
     assert workers._cuts_at(str(run), [b"s1", b"s2"]) == [0, 0, got[2], len(data)]
     for path, qids in [(run, [b"s2", b"s10"]), (run, [b"s10", b"s3"]), (tmp_path / "missing", [b"s1"])]:
@@ -333,28 +338,39 @@ def _iteration_runs(draw) -> list[bytes]:
 def test_forced_workers_fuse_drawn_runs_as_one_process(tmp_path_factory, monkeypatch, capsys):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    default = workers.BUDGET
 
     @hypothesis.settings(max_examples=60, deadline=None, database=None)
-    @hypothesis.given(st.composite(_iteration_runs)(), st.sampled_from(["rrf", "prrf", "final_only"]), st.integers(1, 6))
-    def check(texts, mode, depth):
+    @hypothesis.given(
+        st.composite(_iteration_runs)(), st.sampled_from(["rrf", "prrf", "final_only"]), st.integers(1, 6), _budgets(st)
+    )
+    def check(texts, mode, depth, budget):
         root = tmp_path_factory.mktemp("fuse")
         paths = [str(root / f"iter_{i:02d}.trec") for i in range(1, len(texts) + 1)]
         for path, text in zip(paths, texts):
             Path(path).write_bytes(text)
         out = root / "fused.trec"
         results = {}
-        for cpus in (1, 2, 3, 16):
+        # one process first, then every count at the drawn range budget
+        for cpus, budget in [(1, default)] + [(cpus, budget) for cpus in (1, 2, 3, 16)]:
+            monkeypatch.setattr(workers, "BUDGET", budget)
             code = _fuse(monkeypatch, cpus, [*paths, "--mode", mode, "--depth", str(depth), "--out", str(out)])
-            results[cpus] = code, out.read_bytes() if code == 0 else None, capsys.readouterr()
+            results[cpus, budget] = code, out.read_bytes() if code == 0 else None, capsys.readouterr()
             assert sorted(os.listdir(root)) == sorted(
                 [Path(p).name for p in paths] + ["fused.trec", "fused.trec.manifest.json"] * (code == 0)
             )
             for name in ("fused.trec", "fused.trec.manifest.json"):
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(root / name)
-        assert all(got == results[1] for got in results.values())
+        assert all(got == results[1, default] for got in results.values())
 
     check()
+
+
+def _budgets(st):
+    """Range budgets in bytes: tiny ones give every process several ranges
+    of the drawn run files, the default one range per process."""
+    return st.one_of(st.integers(1, 400), st.just(workers.BUDGET))
 
 
 def _ragged_eval(root: Path, split: bool = False) -> tuple[str, str]:
@@ -549,3 +565,154 @@ def test_an_interrupted_evaluate_kills_and_reaps_the_workers(tmp_path, monkeypat
     assert len(forked) == 3
     _assert_reaped(forked)
     assert sorted(os.listdir(tmp_path)) == ["qrels.txt", "run.trec"]
+
+
+def test_forced_workers_evaluate_drawn_runs_as_one_process(tmp_path_factory, monkeypatch, capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    default = workers.BUDGET
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(st.composite(_iteration_runs)(), st.data(), _budgets(st))
+    def check(texts, data, budget):
+        root = tmp_path_factory.mktemp("evaluate")
+        run, qrels = root / "run.trec", root / "qrels.txt"
+        run.write_bytes(data.draw(st.sampled_from(texts)))
+        judged = data.draw(st.lists(st.tuples(st.sampled_from(["s0", "s1", "s10", "s99"]), st.sampled_from(PIDS)), max_size=8))
+        qrels.write_text("".join(f"{qid} 0 {pid} 1\n" for qid, pid in judged))
+        out = root / "report.json"
+        results = {}
+        for cpus, budget in [(1, default)] + [(cpus, budget) for cpus in (1, 2, 3, 16)]:
+            monkeypatch.setattr(workers, "BUDGET", budget)
+            code = _evaluate(monkeypatch, cpus, str(run), str(qrels), str(out))
+            results[cpus, budget] = code, out.read_bytes() if code == 0 else None, capsys.readouterr()
+            assert sorted(os.listdir(root)) == sorted(["run.trec", "qrels.txt"] + ["report.json", "report.json.manifest.json"] * (code == 0))
+            for name in ("report.json", "report.json.manifest.json"):
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(root / name)
+        assert all(got == results[1, default] for got in results.values())
+
+    check()
+
+
+def _deep_runs(root: Path) -> list[str]:
+    """Three nested iteration runs of 5 to 10 lines a query: 96 queries,
+    every second one and every fourth one, so each file holds every query
+    of the smallest and a small budget cuts every file."""
+    rng = random.Random(21)
+    qids = [f"q{n:02d}" for n in range(96)]
+    root.mkdir()
+    paths = []
+    for i, members in enumerate([qids, qids[::2], qids[::4]], 1):
+        lists = []
+        for qid in members:
+            pids = rng.sample([f"p{n}" for n in range(60)], rng.randint(5, 10))
+            lists.append(RankedList(qid, [(pid, float(rng.randint(0, 5))) for pid in pids]))
+        path = root / f"iter_{i:02d}.trec"
+        write_run(lists, str(path))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.fixture
+def every_read(tmp_path, monkeypatch):
+    """A function giving every ``read_run`` call that ``workers`` has made
+    in any process so far, as ``(pid, path, start, stop)``; a whole read
+    has no start or stop."""
+    log = tmp_path / "reads.jsonl"
+
+    def recording(path, *cut):
+        with open(log, "a") as fh:
+            fh.write(json.dumps([os.getpid(), path, *(cut or (None, None))]) + "\n")
+        return read_run(path, *cut)
+
+    monkeypatch.setattr(workers, "read_run", recording)
+    return lambda: [tuple(json.loads(line)) for line in log.read_text().splitlines()] if log.exists() else []
+
+
+def _longest_query(path: str) -> int:
+    sizes: dict[bytes, int] = {}
+    for line in Path(path).read_bytes().splitlines(keepends=True):
+        sizes[line.split()[0]] = sizes.get(line.split()[0], 0) + len(line)
+    return max(sizes.values())
+
+
+@pytest.mark.parametrize("command", ["fuse", "evaluate"])
+def test_a_small_budget_bounds_every_read_and_the_process_count(tmp_path, monkeypatch, capsys, forked, every_read, command):
+    paths = _deep_runs(tmp_path / "runs")
+    qrels = tmp_path / "runs" / "qrels.txt"
+    qrels.write_text("q00 0 p1 1\nq04 0 p2 2\n")
+    budget, default = 2048, workers.BUDGET
+    total = sum(map(os.path.getsize, paths if command == "fuse" else paths[:1]))
+    assert total > 4 * budget
+    slack = max(map(_longest_query, paths))
+    outputs = []
+    monkeypatch.setattr(workers, "BUDGET", budget)
+    for cpus in (1, 2, 3):
+        out = tmp_path / f"out.{cpus}"
+        before, reads_before = len(forked), len(every_read())
+        if command == "fuse":
+            assert all(workers._shared_cuts(paths, workers._range_count(total, cpus)))  # every file is cut
+            assert _fuse(monkeypatch, cpus, [*paths, "--out", str(out)]) == 0
+        else:
+            assert _evaluate(monkeypatch, cpus, paths[0], str(qrels), str(out)) == 0
+        reads = every_read()[reads_before:]
+        # no file is read whole, and no range is larger than the budget plus one query
+        assert reads and all(start is not None and stop - start <= budget + slack for _, _, start, stop in reads)
+        # at most one process per CPU, each running several ranges
+        processes = {pid for pid, *_ in reads}
+        assert len(forked) - before == len(processes) - 1 == cpus - 1
+        assert all(sum(pid == p and path == paths[0] for p, path, *_ in reads) > 1 for pid in processes)
+        outputs.append(out.read_bytes())
+    # one process at the default budget reads each file whole and writes the same bytes
+    monkeypatch.setattr(workers, "BUDGET", default)
+    one = tmp_path / "one"
+    if command == "fuse":
+        assert _fuse(monkeypatch, 1, [*paths, "--out", str(one)]) == 0
+    else:
+        assert _evaluate(monkeypatch, 1, paths[0], str(qrels), str(one)) == 0
+    assert outputs == [one.read_bytes()] * 3
+    _assert_reaped(forked)
+    capsys.readouterr()
+
+
+def test_a_file_read_whole_is_read_once_by_each_process(tmp_path, monkeypatch, capsys, forked, every_read):
+    (tmp_path / "runs").mkdir()
+    paths = _nested_runs(tmp_path / "runs")
+    assert _fuse(monkeypatch, 1, [*paths, "--out", str(tmp_path / "one.trec")]) == 0
+    # two ranges a process, and the deepest run lacks a boundary
+    monkeypatch.setattr(workers, "BUDGET", 6000)
+    cuts = workers._shared_cuts(paths, workers._range_count(sum(map(os.path.getsize, paths)), 2))
+    assert all(cuts[:3]) and cuts[3] is None and len(cuts[0]) - 1 == 4
+    reads_before = len(every_read())
+    assert _fuse(monkeypatch, 2, [*paths, "--out", str(tmp_path / "fused.trec")]) == 0
+    assert (tmp_path / "fused.trec").read_bytes() == (tmp_path / "one.trec").read_bytes()
+    reads = every_read()[reads_before:]
+    assert len(forked) == 1 and sorted(pid for pid, path, start, _ in reads if start is None) == sorted([os.getpid(), *forked])
+    assert all(path == paths[3] for _, path, start, _ in reads if start is None)
+    _assert_reaped(forked)
+    capsys.readouterr()
+
+
+def test_a_process_runs_no_range_after_its_first_failure(tmp_path, monkeypatch, capsys, forked, every_read):
+    # last-first, each range's slice of the first file lacks queries that
+    # its slice of the later files holds, so every range fails
+    paths = _deep_runs(tmp_path / "runs")[::-1]
+    assert _fuse(monkeypatch, 1, [*paths, "--out", str(tmp_path / "one.trec")]) == 0
+    monkeypatch.setattr(workers, "BUDGET", 4096)
+    cuts = workers._shared_cuts(paths, workers._range_count(sum(map(os.path.getsize, paths)), 2))
+    assert all(cuts) and len(cuts[0]) - 1 > 4
+    del forked[:]
+    reads_before = len(every_read())
+    assert _fuse(monkeypatch, 2, [*paths, "--out", str(tmp_path / "fused.trec")]) == 0
+    assert (tmp_path / "fused.trec").read_bytes() == (tmp_path / "one.trec").read_bytes()
+    reads = every_read()[reads_before:]
+    starts = {pid: [start for p, path, start, _ in reads if p == pid and path == paths[0] and start is not None]
+              for pid, *_ in reads}
+    # each process read only the first range of its block, then this
+    # process read every file whole
+    blocks = workers._blocks(len(cuts[0]) - 1, 2)
+    assert len(forked) == 1 and sorted(starts.values()) == sorted([[cuts[0][block.start]] for block in blocks])
+    assert reads[-len(paths):] == [(os.getpid(), p, None, None) for p in paths]
+    _assert_reaped(forked)
+    capsys.readouterr()
