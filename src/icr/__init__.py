@@ -1,47 +1,34 @@
-"""Iterative clarification-and-rewriting toolkit for conversational search."""
+"""Iterative clarification-and-rewriting toolkit for conversational search.
+
+The public names load with their module on first use (PEP 562), so
+``import icr`` loads no submodule, and numpy only with a name that needs it.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .corpus import CQRSample, Passage, Qrels, Turn
-from .crdg import CrdgConfig, Trajectory, TrajectoryStep, generate_trajectory
-from .dense_index import DenseIndex, HashEmbeddingProvider, build_dense_index, search_dense
-from .evaluation import Indexes, MetricSet, QualityScore, f_score
-from .fusion import FusionConfig, fuse
-from .genclient import RemoteChatClient, ScriptedMock
-from .pipeline import InferenceConfig, InferenceResult, run_batch
-from .prefdata import PreferencePair
-from .ranking import RankedList
-from .sparse_index import Bm25Params, SparseIndex, build_sparse_index, search_sparse, tokenize
+#: public name -> the module that defines it
+_EXPORTS = {
+    **dict.fromkeys(("CQRSample", "Passage", "Qrels", "Turn"), "corpus"),
+    **dict.fromkeys(("Bm25Params", "CrdgConfig", "FusionConfig", "InferenceConfig"), "config"),
+    **dict.fromkeys(("Trajectory", "TrajectoryStep", "generate_trajectory"), "crdg"),
+    **dict.fromkeys(("DenseIndex", "HashEmbeddingProvider", "build_dense_index", "search_dense"), "dense_index"),
+    **dict.fromkeys(("Indexes", "MetricSet", "QualityScore", "f_score"), "evaluation"),
+    "fuse": "fusion",
+    **dict.fromkeys(("RemoteChatClient", "ScriptedMock"), "genclient"),
+    **dict.fromkeys(("InferenceResult", "run_batch"), "pipeline"),
+    "PreferencePair": "prefdata",
+    "RankedList": "ranking",
+    **dict.fromkeys(("SparseIndex", "build_sparse_index", "search_sparse", "tokenize"), "sparse_index"),
+}
 
-__all__ = [
-    "Bm25Params",
-    "CQRSample",
-    "CrdgConfig",
-    "DenseIndex",
-    "FusionConfig",
-    "HashEmbeddingProvider",
-    "Indexes",
-    "InferenceConfig",
-    "InferenceResult",
-    "MetricSet",
-    "Passage",
-    "PreferencePair",
-    "Qrels",
-    "QualityScore",
-    "RankedList",
-    "RemoteChatClient",
-    "ScriptedMock",
-    "SparseIndex",
-    "Trajectory",
-    "TrajectoryStep",
-    "Turn",
-    "build_dense_index",
-    "build_sparse_index",
-    "f_score",
-    "fuse",
-    "generate_trajectory",
-    "run_batch",
-    "search_dense",
-    "search_sparse",
-    "tokenize",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

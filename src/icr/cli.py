@@ -17,28 +17,16 @@ import os
 import signal
 import sys
 import threading
+from dataclasses import replace
 
-from . import crdg as crdg_mod
-from . import prefdata as prefdata_mod
-from . import sftdata as sftdata_mod
-from .config import Config, _parse_float, _parse_int, load_config
+from .config import _SCHEMA, FUSION_MODES, MODE_RETRIEVERS, RETRIEVER_CHOICES, Config, Setting, load_config
 from .corpus import load_collection, load_cqr_dataset, load_qrels, replacing
-from .dense_index import (
-    HashEmbeddingProvider,
-    RemoteEmbeddingProvider,
-    build_dense_index,
-    load_dense_index,
-    save_dense_index,
-)
-from .errors import DataError, MissingRequired, ProviderError, TypeMismatch
-from .evaluation import MODE_RETRIEVERS, Indexes, delta_f_profile, gsr, lsr
-from .fusion import FusionConfig, fuse
-from .genclient import RemoteChatClient, ScriptedMock
+from .errors import DataError, MissingRequired, ProviderError
 from .manifest import RunManifest, load_manifest, verify_outputs
-from .pipeline import RETRIEVER_CHOICES, emit_per_query_runs, emit_run, measure_latency, run_batch
-from .ranking import RankedList, read_run, write_run
-from .sparse_index import build_sparse_index, load_sparse_index, save_sparse_index
-from .workers import evaluate_file, fuse_files
+
+# Above are the modules that ``main`` loads for every command. Each command
+# imports the others that it runs, so verify, sftdata and analyze, which
+# need no numpy, do not load it.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,21 +43,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _checked(parse, **limits):
-    """An argparse type that checks a flag as ``parse`` checks its config
+def _checked(setting: Setting):
+    """An argparse type that checks a flag as ``setting`` checks its config
     key; a bad value is a usage error naming the flag."""
 
     def convert(raw: str):
         try:
-            return parse("", raw, **limits)
-        except TypeMismatch as e:
-            raise argparse.ArgumentTypeError(e.reason) from None
+            return setting.parse(raw)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
 
     return convert
 
 
 def _lengths(raw: str) -> list[int]:
-    return [_checked(_parse_int, minimum=1)(item) for item in raw.split(",")]
+    return [_checked(Setting(int, minimum=1))(item) for item in raw.split(",")]
 
 
 def _require_path(value: str | None, name: str) -> str:
@@ -79,23 +67,33 @@ def _require_path(value: str | None, name: str) -> str:
 
 
 def _make_client(args, config: Config):
+    from .genclient import RemoteChatClient, ScriptedMock
+
     if args.mock_script:
         return ScriptedMock.from_jsonl(args.mock_script)
     return RemoteChatClient.from_env(temperature=config.gen_temperature)
 
 
 def _make_provider(args, config: Config):
+    from .dense_index import HashEmbeddingProvider, RemoteEmbeddingProvider
+
     if args.embed_url:
         return RemoteEmbeddingProvider(args.embed_url, dim=config.dense_dim)
     return HashEmbeddingProvider(dim=config.dense_dim)
 
 
-def _load_indexes(args, mode: str) -> Indexes:
-    """The indexes (and the dense side's provider) that ``mode`` searches."""
+def _load_indexes(args, mode: str):
+    """The ``evaluation.Indexes`` (and the dense side's provider) that
+    ``mode`` searches."""
+    from .evaluation import Indexes
+    from .sparse_index import load_sparse_index  # the dense index loads it too
+
     need_sparse, need_dense = MODE_RETRIEVERS[mode]
     sparse = load_sparse_index(_require_path(args.sparse_index, "--sparse-index")) if need_sparse else None
     if not need_dense:
         return Indexes(sparse)
+    from .dense_index import HashEmbeddingProvider, RemoteEmbeddingProvider, load_dense_index
+
     dense = load_dense_index(_require_path(args.dense_index, "--dense-index"))
     if dense.provider_name.startswith("hash-"):
         return Indexes(sparse, dense, HashEmbeddingProvider(dim=dense.dim))
@@ -123,6 +121,8 @@ def _write_report(kind: str, report: dict, samples: int, path: str) -> None:
 
 
 def cmd_build_index(args, config: Config) -> tuple[list, list]:
+    from .sparse_index import build_sparse_index, save_sparse_index
+
     collection_path = _require_path(args.collection or config.collection, "--collection")
     fmt = args.format or config.collection_format
     index = build_sparse_index(load_collection(collection_path, fmt), config.bm25)
@@ -132,6 +132,8 @@ def cmd_build_index(args, config: Config) -> tuple[list, list]:
 
 
 def cmd_embed_index(args, config: Config) -> tuple[list, list]:
+    from .dense_index import build_dense_index, save_dense_index
+
     collection_path = _require_path(args.collection or config.collection, "--collection")
     fmt = args.format or config.collection_format
     provider = _make_provider(args, config)
@@ -142,20 +144,25 @@ def cmd_embed_index(args, config: Config) -> tuple[list, list]:
 
 
 def cmd_crdg(args, config: Config) -> tuple[list, list]:
+    from .crdg import build_crdg_dataset
+
     dataset_path, samples = _dataset(args, config)
     indexes = _load_indexes(args, config.crdg.f_mode)
     client = _make_client(args, config)
-    stats = crdg_mod.build_crdg_dataset(samples, client, indexes, config.crdg, args.out, seed=args.seed)
+    stats = build_crdg_dataset(samples, client, indexes, config.crdg, args.out, seed=args.seed)
     print(f"trajectories written={stats.written} skipped={stats.skipped} errors={stats.errors}")
     return [dataset_path, args.sparse_index, args.dense_index, args.mock_script], [args.out]
 
 
 def cmd_prefdata(args, config: Config) -> tuple[list, list]:
+    from .crdg import load_trajectories
+    from .prefdata import build_pref_dataset
+
     dataset_path, samples = _dataset(args, config)
-    trajectories = crdg_mod.load_trajectories(args.crdg)
+    trajectories = load_trajectories(args.crdg)
     indexes = _load_indexes(args, config.crdg.f_mode)
     client = _make_client(args, config)
-    stats = prefdata_mod.build_pref_dataset(
+    stats = build_pref_dataset(
         trajectories, samples, client, indexes, config.crdg, args.out, seed=args.seed, multi_ot=args.multi_ot
     )
     print(
@@ -166,9 +173,12 @@ def cmd_prefdata(args, config: Config) -> tuple[list, list]:
 
 
 def cmd_sftdata(args, config: Config) -> tuple[list, list]:
+    from .crdg import read_crdg_records
+    from .sftdata import emit_sft_dataset
+
     dataset_path, samples = _dataset(args, config)
-    records = crdg_mod.read_crdg_records(args.crdg)
-    stats = sftdata_mod.emit_sft_dataset(records, samples, args.out)
+    records = read_crdg_records(args.crdg)
+    stats = emit_sft_dataset(records, samples, args.out)
     print(
         f"sft records={stats.written} skipped_empty={stats.skipped_empty} "
         f"skipped_errors={stats.skipped_errors}"
@@ -177,6 +187,8 @@ def cmd_sftdata(args, config: Config) -> tuple[list, list]:
 
 
 def cmd_infer(args, config: Config) -> tuple[list, list]:
+    from .pipeline import emit_per_query_runs, emit_run, run_batch
+
     dataset_path, samples = _dataset(args, config)
     inference = config.inference
     if args.retriever:
@@ -199,11 +211,12 @@ def cmd_infer(args, config: Config) -> tuple[list, list]:
 
 
 def cmd_fuse(args, config: Config) -> tuple[list, list]:
-    fusion = FusionConfig(
-        k=args.k if args.k is not None else config.fusion.k,
-        mode=args.mode or config.fusion.mode,
-        depth=args.depth if args.depth is not None else config.fusion.depth,
-    )
+    from .fusion import fuse
+    from .ranking import RankedList, write_run
+    from .workers import fuse_files
+
+    flags = {"k": args.k, "mode": args.mode, "depth": args.depth}
+    fusion = replace(config.fusion, **{name: value for name, value in flags.items() if value is not None})
 
     def write(runs, qids, fh):
         def fused():
@@ -221,6 +234,9 @@ def cmd_fuse(args, config: Config) -> tuple[list, list]:
 
 
 def cmd_evaluate(args, config: Config) -> tuple[list, list]:
+    from .ranking import read_run
+    from .workers import evaluate_file
+
     # the workers inherit the qrels, so they are loaded first; a bad run
     # file is still the error reported when both are bad
     try:
@@ -234,7 +250,10 @@ def cmd_evaluate(args, config: Config) -> tuple[list, list]:
 
 
 def cmd_analyze(args, config: Config) -> tuple[list, list]:
-    trajectories = crdg_mod.load_trajectories(args.crdg)
+    from .crdg import load_trajectories
+    from .evaluation import delta_f_profile, gsr, lsr
+
+    trajectories = load_trajectories(args.crdg)
     paths = [t.f_path() for t in trajectories]
     lengths = args.lengths or [4, 5, 6]
     report = {
@@ -249,6 +268,8 @@ def cmd_analyze(args, config: Config) -> tuple[list, list]:
 
 
 def cmd_latency(args, config: Config) -> tuple[list, list]:
+    from .pipeline import measure_latency
+
     dataset_path, samples = _dataset(args, config)
     inference = config.inference
     inference.step_wise = args.step_wise
@@ -294,17 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
     # commands without --seed record none; verify, without --out, writes no manifest
     parser.set_defaults(seed=None, config=None, out=None)
     sub = parser.add_subparsers(dest="command", required=True)
+    formats = _SCHEMA["dataset.collection_format"].choices
 
     p = sub.add_parser("build-index", help="build a BM25 index over a passage collection")
     p.add_argument("--collection", help="TSV or JSONL collection file")
-    p.add_argument("--format", choices=("tsv", "jsonl"), help="collection format (default: by extension)")
+    p.add_argument("--format", choices=formats, help="collection format (default: by extension)")
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_build_index)
 
     p = sub.add_parser("embed-index", help="embed a collection into a dense index")
     p.add_argument("--collection")
-    p.add_argument("--format", choices=("tsv", "jsonl"))
+    p.add_argument("--format", choices=formats)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--embed-url", help="remote embedding endpoint (default: offline hash provider)")
     _add_common(p)
@@ -349,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse", help="fuse N TREC runs (ordered by iteration)")
     p.add_argument("runs", nargs="+", help="TREC run files in iteration order")
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("rrf", "prrf", "final_only"))
-    p.add_argument("--k", type=_checked(_parse_float, minimum=0.0, exclusive=True))
-    p.add_argument("--depth", type=_checked(_parse_int, minimum=1))
+    p.add_argument("--mode", choices=FUSION_MODES)
+    p.add_argument("--k", type=_checked(_SCHEMA["fusion.k"]))
+    p.add_argument("--depth", type=_checked(_SCHEMA["fusion.depth"]))
     _add_common(p)
     p.set_defaults(func=cmd_fuse)
 
@@ -393,9 +415,10 @@ def main(argv: list[str] | None = None) -> int:
     if main_thread:
         previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
+        argv = sys.argv[1:] if argv is None else list(argv)
         args = parser.parse_args(argv)
         config = load_config(args.config)
-        manifest = RunManifest(args.command, config.raw, seed=args.seed)
+        manifest = RunManifest(args.command, config.raw, seed=args.seed, argv=argv)
         inputs, outputs = args.func(args, config)
         for path in inputs:
             manifest.add_input(path)

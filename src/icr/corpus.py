@@ -52,30 +52,23 @@ class CQRSample:
 
 
 class Qrels:
-    """Relevance grades keyed by (sample_id, passage_id).
+    """Relevance grades by sample, then by passage.
 
     Later duplicate lines overwrite earlier ones; ``overwrites`` counts how
-    often that happened during loading. Grades are also indexed by sample,
-    so per-sample lookups touch only that sample's grades; ``set`` is the
-    only writer.
+    often that happened during loading. Per-sample lookups touch only that
+    sample's grades; ``set`` is the only writer.
     """
 
     def __init__(self) -> None:
-        self.grades: dict[tuple[str, str], int] = {}
         self.overwrites = 0
         self._by_sample: dict[str, dict[str, int]] = {}
 
     def set(self, sample_id: str, passage_id: str, grade: int) -> None:
         if grade < 0:
             raise ValueError(f"relevance grade must be >= 0, got {grade}")
-        key = (sample_id, passage_id)
-        if key in self.grades:
-            self.overwrites += 1
-        self.grades[key] = grade
-        self._by_sample.setdefault(sample_id, {})[passage_id] = grade
-
-    def grade(self, sample_id: str, passage_id: str) -> int:
-        return self.grades.get((sample_id, passage_id), 0)
+        grades = self._by_sample.setdefault(sample_id, {})
+        self.overwrites += passage_id in grades
+        grades[passage_id] = grade
 
     def for_sample(self, sample_id: str) -> dict[str, int]:
         return dict(self._by_sample.get(sample_id, {}))
@@ -87,12 +80,12 @@ class Qrels:
         return list(self._by_sample)
 
     def __len__(self) -> int:
-        return len(self.grades)
+        return sum(map(len, self._by_sample.values()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Qrels):
             return NotImplemented
-        return self.grades == other.grades
+        return self._by_sample == other._by_sample
 
 
 def _infer_format(path: str) -> str:

@@ -23,9 +23,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from .config import CrdgConfig
 from .corpus import CQRSample, _jsonl_line, _require, read_jsonl, replacing
 from .errors import DataError, EmptyResponse, MalformedRecord, ProviderError, ProviderUnavailable
-from .evaluation import F_MODES, Indexes, QualityScore, f_score, quality_from_dict
+from .evaluation import Indexes, QualityScore, f_score, quality_from_dict
 from .genclient import generate_clarification, generate_rewrite, run_in_order
 
 CLARIFICATION_MARKER = "[Clarification]"
@@ -66,24 +67,6 @@ class Trajectory:
 
     def final_rewrite(self) -> str:
         return self.steps[-1].rewrite if self.steps else self.original_query
-
-
-@dataclass
-class CrdgConfig:
-    early_stop: int = 3
-    max_iters: int = 10
-    resample_budget: int = 3
-    f_mode: str = "both"
-
-    def __post_init__(self) -> None:
-        if self.early_stop < 1:
-            raise ValueError(f"early_stop must be >= 1, got {self.early_stop}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.resample_budget < 0:
-            raise ValueError(f"resample_budget must be >= 0, got {self.resample_budget}")
-        if self.f_mode not in F_MODES:
-            raise ValueError(f"unknown f_mode {self.f_mode!r}")
 
 
 def generate_trajectory(

@@ -15,21 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from .config import MODE_RETRIEVERS
 from .corpus import CQRSample, Qrels
-from .dense_index import DenseIndex, EmbeddingProvider, search_dense
 from .errors import DataError, GoldMissingFromCollection
-from .ranking import RankedList, Run
-from .sparse_index import SparseIndex, search_sparse
 
-F_MODES = ("both", "sparse_only", "dense_only")
-
-#: (uses sparse, uses dense) for each F mode and each inference retriever.
-MODE_RETRIEVERS = {
-    "both": (True, True), "sparse_only": (True, False), "dense_only": (False, True),  # F modes
-    "sparse": (True, False), "dense": (False, True), "both-report": (True, True),  # inference
-}
+if TYPE_CHECKING:  # the index modules load numpy, so they load on first search
+    from .dense_index import DenseIndex, EmbeddingProvider
+    from .ranking import RankedList
+    from .sparse_index import SparseIndex
 
 #: Retrieval depth used for quality scoring; Recall@100 requires it.
 F_DEPTH = 100
@@ -73,21 +68,6 @@ def quality_from_dict(obj: Mapping) -> QualityScore:
     )
 
 
-def mrr(ranked: RankedList, relevant: set[str]) -> float:
-    """Reciprocal rank of the first relevant entry; 0 if none retrieved."""
-    return _mrr(ranked.ids(), relevant)
-
-
-def ndcg_at_3(ranked: RankedList, grades: Mapping[str, int]) -> float:
-    """NDCG@3 with gain equal to the grade; 0 when nothing relevant is judged."""
-    return _ndcg3(ranked.ids(), grades)
-
-
-def recall_at_k(ranked: RankedList, relevant: set[str], k: int) -> float:
-    """Fraction of relevant ids in the top-k; 0 for an empty relevant set."""
-    return _recall(ranked.ids(), relevant, k)
-
-
 def metric_set(ranked: RankedList, relevant: set[str], grades: Mapping[str, int] | None = None) -> MetricSet:
     """The four metrics of one ranked list; binary grades unless given."""
     if grades is None:
@@ -123,8 +103,6 @@ def _ndcg3(ids: Sequence[str], grades: Mapping[str, int]) -> float:
 
 
 def _recall(ids: Sequence[str], relevant: set[str], k: int) -> float:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if not relevant:
         return 0.0
     return len(relevant.intersection(ids[:k])) / len(relevant)
@@ -154,7 +132,11 @@ class Indexes:
     def search(self, name: str, query: str, k: int, tag: str | None = None) -> RankedList:
         """Top-k of one side, ``"sparse"`` or ``"dense"``."""
         if name == "sparse":
+            from .sparse_index import search_sparse
+
             return search_sparse(self.sparse, query, k, tag=tag)
+        from .dense_index import search_dense
+
         return search_dense(self.dense, query, k, self.provider, tag=tag)
 
 
@@ -244,8 +226,8 @@ def evaluate_run(run: Mapping[str, RankedList], qrels: Qrels) -> dict:
 
 def score_queries(run: Mapping[str, RankedList], qrels: Qrels) -> dict[str, dict]:
     """The ``per_sample`` entry of every query in ``run``, in run order. A
-    Run is scored from its id column."""
-    ids = run.ids if isinstance(run, Run) else lambda qid: run[qid].ids()
+    ``ranking.Run`` is scored from its id column (its ``ids`` method)."""
+    ids = getattr(run, "ids", None) or (lambda qid: run[qid].ids())
     return {qid: _sample_metrics(ids(qid), qrels, qid) for qid in run}
 
 

@@ -14,29 +14,11 @@ passage id ascending and truncated to the configured depth.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from .config import FusionConfig
 from .errors import EmptyInput
 from .ranking import RankedList, ranked_from_scores
-
-FUSION_MODES = ("rrf", "prrf", "final_only")
-
-
-@dataclass
-class FusionConfig:
-    k: float = 60.0
-    mode: str = "prrf"
-    depth: int = 100
-
-    def __post_init__(self) -> None:
-        if not 0 < self.k < math.inf:
-            raise ValueError(f"fusion k must be finite and > 0, got {self.k}")
-        if self.depth < 1:
-            raise ValueError(f"fusion depth must be >= 1, got {self.depth}")
-        if self.mode not in FUSION_MODES:
-            raise ValueError(f"unknown fusion mode {self.mode!r}")
 
 
 def fuse(lists: Sequence[RankedList], config: FusionConfig, tag: str | None = None) -> RankedList:

@@ -1,9 +1,9 @@
 """Run manifests for reproducibility.
 
 Every CLI invocation writes a JSON manifest beside its primary output
-recording the command, the resolved config snapshot, the seed, a git
-describe string, start/end timestamps, and SHA-256 digests of every input
-and output file. Reruns with the same seed, config, and inputs must
+recording the command, its arguments, the resolved config snapshot, the
+seed, a git describe string, start/end timestamps, and SHA-256 digests of
+every input and output file. Reruns with the same seed, config, and inputs must
 produce identical output digests.
 
 Each output's digest comes with a stat record: the ``(dev, ino, size,
@@ -134,10 +134,13 @@ def _now() -> str:
 class RunManifest:
     """Collects inputs/outputs during a command and writes the manifest."""
 
-    def __init__(self, command: str, config_snapshot: dict | None = None, seed: int | None = None):
+    def __init__(self, command: str, config_snapshot: dict | None = None, seed: int | None = None,
+                 argv: list[str] | None = None):
         self.command = command
         self.config_snapshot = dict(config_snapshot or {})
         self.seed = seed
+        #: the command line, which holds the flags that override the config
+        self.argv = list(argv or [])
         self.started_at = _now()
         self.inputs: list[str] = []
         self.outputs: list[str] = []
@@ -158,6 +161,7 @@ class RunManifest:
             path = self.outputs[0] + ".manifest.json"
         payload = {
             "command": self.command,
+            "argv": self.argv,
             "seed": self.seed,
             "git": git_describe(),
             "started_at": self.started_at,

@@ -18,39 +18,21 @@ import logging
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .config import InferenceConfig
 from .corpus import CQRSample, replacing
 from .crdg import _format_pairs, parse_trajectory
 from .errors import MissingScriptEntry
 from .evaluation import Indexes
-from .fusion import FusionConfig, fuse
+from .fusion import fuse
 from .genclient import generate_clarification, generate_rewrite, generate_trajectory_text, run_in_order
 from .ranking import RankedList, write_run
 
 logger = logging.getLogger(__name__)
 
-RETRIEVER_CHOICES = ("sparse", "dense", "both-report")
-
 Searcher = Callable[[str, int, str], RankedList]
-
-
-@dataclass
-class InferenceConfig:
-    max_iters: int = 10
-    retrieval_k: int = 100
-    fusion: FusionConfig = field(default_factory=FusionConfig)
-    retriever: str = "sparse"
-    step_wise: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.retrieval_k < 1:
-            raise ValueError(f"retrieval_k must be >= 1, got {self.retrieval_k}")
-        if self.retriever not in RETRIEVER_CHOICES:
-            raise ValueError(f"unknown retriever {self.retriever!r}")
 
 
 @dataclass

@@ -24,8 +24,9 @@ import random
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple, Sequence
 
+from .config import CrdgConfig
 from .corpus import CQRSample, _jsonl_line, replacing
-from .crdg import CrdgConfig, Trajectory, TrajectoryStep, _next_step, serialize_trajectory
+from .crdg import Trajectory, TrajectoryStep, _next_step, serialize_trajectory
 from .errors import DataError, ProviderError
 from .evaluation import Indexes, QualityScore, f_score
 from .genclient import render_conversation, run_in_order

@@ -28,13 +28,6 @@ class RankedList:
     def ids(self) -> list[str]:
         return [pid for pid, _ in self.entries]
 
-    def rank_of(self, passage_id: str) -> int | None:
-        """1-based rank of a passage, or None if not retrieved."""
-        for rank, (pid, _) in enumerate(self.entries, 1):
-            if pid == passage_id:
-                return rank
-        return None
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -33,6 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .config import Bm25Params
 from .corpus import Passage, replacing
 from .errors import DataError, DuplicateId, EmptyCollection
 from .ranking import RankedList, id_ranks, stored_id_ranks, top_k
@@ -65,25 +66,6 @@ def tokenize(text: str) -> list[str]:
         if not text.isascii():
             return _TOKEN_RE.findall(text)
     return text.encode("ascii").translate(_ASCII_TOKEN_TABLE).decode("ascii").split()
-
-
-@dataclass(frozen=True)
-class Bm25Params:
-    k1: float = 0.9
-    b: float = 0.4
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.k1 < math.inf:
-            raise ValueError(f"k1 must be finite and >= 0, got {self.k1}")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError(f"b must be in [0, 1], got {self.b}")
-
-
-#: Per-dataset parameter profiles.
-BM25_PROFILES = {
-    "topiocqa": Bm25Params(k1=0.9, b=0.4),
-    "qrecc": Bm25Params(k1=0.82, b=0.68),
-}
 
 
 @dataclass

@@ -39,7 +39,8 @@ def write_cqr_dataset(samples: Sequence[CQRSample], path: str) -> None:
 
 def write_qrels(qrels: Qrels, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for (sid, pid), grade in sorted(qrels.grades.items()):
+        rows = sorted((sid, pid, grade) for sid in qrels.sample_ids() for pid, grade in qrels.for_sample(sid).items())
+        for sid, pid, grade in rows:
             fh.write(f"{sid} 0 {pid} {grade}\n")
 
 

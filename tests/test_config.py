@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from icr.config import _SCHEMA, load_config, parse_config_text, resolve_config
-from icr.errors import TypeMismatch, UnknownKey
+from icr.config import _SCHEMA, BM25_PROFILES, Bm25Params, load_config, parse_config_text, resolve_config
+from icr.cli import main
+from icr.errors import MalformedRecord, TypeMismatch, UnknownKey
 from icr.manifest import RunManifest, load_manifest, verify_outputs
-from icr.sparse_index import BM25_PROFILES, Bm25Params
 
 
 def test_empty_config_gives_all_defaults():
@@ -25,6 +25,17 @@ def test_unknown_key_rejected():
     with pytest.raises(UnknownKey) as err:
         parse_config_text("foo = 1")
     assert err.value.key == "foo"
+
+
+def test_a_key_given_twice_is_a_data_error_naming_both_lines(tmp_path, capsys):
+    with pytest.raises(MalformedRecord) as err:
+        parse_config_text("fusion.k = 1\n# again\nfusion.k = 2\n", source="icr.conf")
+    assert str(err.value) == "icr.conf:3: config key 'fusion.k' repeats line 1"
+    cfg, run = tmp_path / "icr.conf", tmp_path / "one.trec"
+    cfg.write_text("fusion.depth = 5\nfusion.depth = 5\n", encoding="utf-8")
+    run.write_text("q1 Q0 d1 1 1.0 ICR\n", encoding="utf-8")
+    assert main(["fuse", str(run), "--config", str(cfg), "--out", str(tmp_path / "fused.trec")]) == 2
+    assert capsys.readouterr().err == f"data error: {cfg}:2: config key 'fusion.depth' repeats line 1\n"
 
 
 def test_fusion_k_range_error():

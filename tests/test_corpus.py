@@ -122,7 +122,7 @@ def test_load_qrels_basic(tmp_path):
     path = tmp_path / "qrels.txt"
     path.write_text("s1 0 p1 1\n", encoding="utf-8")
     qrels = load_qrels(str(path))
-    assert qrels.grade("s1", "p1") == 1
+    assert qrels.for_sample("s1") == {"p1": 1}
     assert qrels.overwrites == 0
 
 
@@ -130,7 +130,7 @@ def test_load_qrels_duplicate_overwrites(tmp_path):
     path = tmp_path / "qrels.txt"
     path.write_text("s1 0 p1 1\ns1 0 p1 2\n", encoding="utf-8")
     qrels = load_qrels(str(path))
-    assert qrels.grade("s1", "p1") == 2
+    assert qrels.for_sample("s1") == {"p1": 2}
     assert qrels.overwrites == 1
 
 

@@ -20,10 +20,7 @@ from icr.evaluation import (
     gsr,
     lsr,
     metric_set,
-    mrr,
-    ndcg_at_3,
     quality_from_dict,
-    recall_at_k,
 )
 from icr.ranking import RankedList
 from icr.sparse_index import build_sparse_index
@@ -35,25 +32,29 @@ def _ranked(ids):
     return RankedList("q", [(pid, float(len(ids) - i)) for i, pid in enumerate(ids)])
 
 
+def _ndcg3(ids, grades):
+    return metric_set(_ranked(ids), set(), grades).ndcg3
+
+
 def test_mrr_cases():
-    assert mrr(_ranked(["a", "b", "c"]), {"a"}) == 1.0
-    assert mrr(_ranked(["x", "y", "z", "a"]), {"a"}) == 0.25
-    assert mrr(_ranked(["x", "y"]), {"a"}) == 0.0
+    assert metric_set(_ranked(["a", "b", "c"]), {"a"}).mrr == 1.0
+    assert metric_set(_ranked(["x", "y", "z", "a"]), {"a"}).mrr == 0.25
+    assert metric_set(_ranked(["x", "y"]), {"a"}).mrr == 0.0
 
 
 def test_ndcg_single_relevant_rank1():
-    assert ndcg_at_3(_ranked(["a", "b", "c"]), {"a": 1}) == 1.0
+    assert _ndcg3(["a", "b", "c"], {"a": 1}) == 1.0
 
 
 def test_ndcg_single_relevant_rank3():
     # frozen from the definition: (1/log2(4)) / (1/log2(2)) = 0.5
-    got = ndcg_at_3(_ranked(["x", "y", "a"]), {"a": 1})
+    got = _ndcg3(["x", "y", "a"], {"a": 1})
     assert got == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ndcg_no_relevant_judged():
-    assert ndcg_at_3(_ranked(["x", "y"]), {}) == 0.0
-    assert ndcg_at_3(_ranked(["x", "y"]), {"x": 0}) == 0.0
+    assert _ndcg3(["x", "y"], {}) == 0.0
+    assert _ndcg3(["x", "y"], {"x": 0}) == 0.0
 
 
 def test_ndcg_graded():
@@ -61,20 +62,20 @@ def test_ndcg_graded():
     grades = {"a": 2, "b": 1}
     ideal = 2 / math.log2(2) + 1 / math.log2(3)
     got_dcg = 1 / math.log2(2) + 2 / math.log2(3)
-    assert ndcg_at_3(_ranked(["b", "a"]), grades) == pytest.approx(got_dcg / ideal, abs=1e-12)
+    assert _ndcg3(["b", "a"], grades) == pytest.approx(got_dcg / ideal, abs=1e-12)
 
 
 def test_ndcg_earlier_relevant_never_worse():
     grades = {"a": 1, "b": 1}
-    worse = ndcg_at_3(_ranked(["x", "a", "b"]), grades)
-    better = ndcg_at_3(_ranked(["a", "b", "x"]), grades)
+    worse = _ndcg3(["x", "a", "b"], grades)
+    better = _ndcg3(["a", "b", "x"], grades)
     assert better >= worse
 
 
 def test_recall_cases():
-    assert recall_at_k(_ranked(["a", "b", "c"]), {"a", "b"}, 10) == 1.0
-    assert recall_at_k(_ranked(["a"] + [f"x{i}" for i in range(12)]), {"a", "b"}, 10) == 0.5
-    assert recall_at_k(_ranked(["a"]), set(), 10) == 0.0
+    assert metric_set(_ranked(["a", "b", "c"]), {"a", "b"}).recall10 == 1.0
+    assert metric_set(_ranked(["a"] + [f"x{i}" for i in range(12)]), {"a", "b"}).recall10 == 0.5
+    assert metric_set(_ranked(["a"]), set()).recall10 == 0.0
 
 
 def test_metrics_match_oracle_on_random_rankings():
@@ -87,13 +88,11 @@ def test_metrics_match_oracle_on_random_rankings():
         # some judged docs never retrieved
         judged[f"m{rng.randint(0, 99)}"] = rng.randint(0, 3)
         relevant = {pid for pid, g in judged.items() if g >= 1}
-        ranked = _ranked(ids)
-        assert mrr(ranked, relevant) == pytest.approx(oracle_mrr(ids, relevant), abs=1e-9)
-        assert ndcg_at_3(ranked, judged) == pytest.approx(oracle_ndcg3(ids, judged), abs=1e-9)
-        for k in (1, 10, 100):
-            assert recall_at_k(ranked, relevant, k) == pytest.approx(
-                oracle_recall(ids, relevant, k), abs=1e-9
-            )
+        got = metric_set(_ranked(ids), relevant, judged)
+        assert got.mrr == pytest.approx(oracle_mrr(ids, relevant), abs=1e-9)
+        assert got.ndcg3 == pytest.approx(oracle_ndcg3(ids, judged), abs=1e-9)
+        assert got.recall10 == pytest.approx(oracle_recall(ids, relevant, 10), abs=1e-9)
+        assert got.recall100 == pytest.approx(oracle_recall(ids, relevant, 100), abs=1e-9)
 
 
 def test_metric_set_binary_default():
@@ -162,7 +161,7 @@ def test_ndcg_moving_relevant_earlier_never_decreases():
         ids = [f"d{i}" for i in range(n)]
         rng.shuffle(ids)
         grades = {pid: rng.randint(0, 2) for pid in rng.sample(ids, k=rng.randint(1, n))}
-        before = ndcg_at_3(_ranked(ids), grades)
+        before = _ndcg3(ids, grades)
         # swap one relevant doc with the doc before it
         rel_positions = [i for i, pid in enumerate(ids) if grades.get(pid, 0) > 0 and i > 0]
         if not rel_positions:
@@ -171,7 +170,7 @@ def test_ndcg_moving_relevant_earlier_never_decreases():
         if grades.get(ids[i - 1], 0) > grades.get(ids[i], 0):
             continue  # would demote a better doc
         ids[i - 1], ids[i] = ids[i], ids[i - 1]
-        after = ndcg_at_3(_ranked(ids), grades)
+        after = _ndcg3(ids, grades)
         assert after >= before - 1e-12
 
 

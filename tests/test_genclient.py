@@ -335,7 +335,8 @@ def test_cli_import_does_not_load_requests():
     code = (
         "import sys; import icr.cli\n"
         "from icr.dense_index import RemoteEmbeddingProvider\n"
-        "icr.cli.RemoteChatClient('http://127.0.0.1:9/chat'); RemoteEmbeddingProvider('http://127.0.0.1:9/e', dim=4)\n"
+        "from icr.genclient import RemoteChatClient\n"
+        "RemoteChatClient('http://127.0.0.1:9/chat'); RemoteEmbeddingProvider('http://127.0.0.1:9/e', dim=4)\n"
         "print(bool({'requests', 'urllib3'} & set(sys.modules)))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

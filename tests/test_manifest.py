@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-import icr.cli as cli
+import icr.dense_index as dense_index
 import icr.manifest as manifest_mod
 from icr.cli import main
 from icr.manifest import RACY_MARGIN_NS, RunManifest, load_manifest, tree_digest
@@ -134,7 +134,7 @@ def ws(tmp_path):
 def test_prefdata_reuses_the_dense_index_digest_that_embed_index_recorded(ws, monkeypatch, capsys):
     sparse, dense, dcr = (str(ws["out"] / n) for n in ("sparse.idx.gz", "dense.idx", "dcr.jsonl"))
     cfg = ["--config", ws["config"]]
-    save_dense_index = cli.save_dense_index
+    save_dense_index = dense_index.save_dense_index
 
     def save_then_settle(index, path):
         # hashing the vectors of a collection at benchmark scale takes
@@ -142,7 +142,7 @@ def test_prefdata_reuses_the_dense_index_digest_that_embed_index_recorded(ws, mo
         save_dense_index(index, path)
         _settle()
 
-    monkeypatch.setattr(cli, "save_dense_index", save_then_settle)
+    monkeypatch.setattr(dense_index, "save_dense_index", save_then_settle)
     assert main(["build-index", "--collection", ws["collection"], "--out", sparse, *cfg]) == 0
     assert main(["embed-index", "--collection", ws["collection"], "--out", dense, *cfg]) == 0
     idx = ["--sparse-index", sparse, "--dense-index", dense, "--mock-script", ws["script"]]
@@ -216,3 +216,20 @@ def test_verify_of_a_manifest_whose_section_is_not_an_object_is_a_data_error(ws,
     path.write_text(json.dumps({"command": "fuse", section: [str(path)]}), encoding="utf-8")
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().err == f"data error: {path}: not a run manifest ({section!r} is not an object)\n"
+
+
+def test_the_manifest_records_the_flags_of_the_run(tmp_path, capsys):
+    """Two fuse runs that differ only in --mode write the same bytes here
+    (one list weighs 1 under rrf and prrf), so only the recorded command
+    line tells them apart."""
+    run, out = tmp_path / "one.trec", tmp_path / "fused.trec"
+    run.write_text("q1 Q0 d1 1 2.0 ICR\nq1 Q0 d2 2 1.0 ICR\n", encoding="utf-8")
+    manifests = {}
+    for mode in ("rrf", "prrf"):
+        argv = ["fuse", str(run), "--mode", mode, "--k", "10", "--out", str(out)]
+        assert main(argv) == 0
+        manifests[mode] = load_manifest(str(out) + ".manifest.json")
+        assert manifests[mode]["argv"] == argv
+    capsys.readouterr()
+    assert manifests["rrf"]["outputs"] == manifests["prrf"]["outputs"]
+    assert manifests["rrf"]["config"] == manifests["prrf"]["config"] == {}

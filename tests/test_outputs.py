@@ -179,7 +179,7 @@ def test_a_rerun_in_place_replaces_every_output_with_the_same_bytes(ws, capsys, 
             os.link(out / f, out.parent / "before" / f)
 
         hashed = []
-        save_dense_index, file_digest = cli.save_dense_index, manifest_mod.file_digest
+        save_dense_index, file_digest = dense_mod.save_dense_index, manifest_mod.file_digest
 
         def save_then_settle(index, path):
             save_dense_index(index, path)
@@ -187,7 +187,7 @@ def test_a_rerun_in_place_replaces_every_output_with_the_same_bytes(ws, capsys, 
             time.sleep(3 * RACY_MARGIN_NS / 1e9)
             monkeypatch.setattr(manifest_mod, "file_digest", lambda p: hashed.append(p) or file_digest(p))
 
-        monkeypatch.setattr(cli, "save_dense_index", save_then_settle)
+        monkeypatch.setattr(dense_mod, "save_dense_index", save_then_settle)
         for argv in commands.values():
             assert main(argv) == 0, argv
         capsys.readouterr()

@@ -128,16 +128,16 @@ def test_prrf_beats_rrf_when_only_final_hits(fig_sparse):
     runs = [searcher(q, 100, "fig") for q in FIG_QUERIES]
     # fixture premise: gold only in the last run, at rank 1; the two
     # distractors carry rank-1/rank-2 mass in the earlier runs
-    assert runs[0].rank_of("gold") is None
-    assert runs[1].rank_of("gold") is None
-    assert runs[2].rank_of("gold") == 1
+    assert "gold" not in runs[0].ids()
+    assert "gold" not in runs[1].ids()
+    assert runs[2].ids()[0] == "gold"
     assert runs[0].ids()[:2] == ["distx", "disty"]
     assert runs[1].ids()[:2] == ["disty", "distx"]
 
     def fused_rank(mode: str) -> int:
         config = InferenceConfig(fusion=FusionConfig(mode=mode))
         _, fused, _ = retrieve_and_fuse(FIG_QUERIES, searcher, config, "fig", "orig")
-        return fused.rank_of("gold")
+        return fused.ids().index("gold") + 1
 
     prrf_rank = fused_rank("prrf")
     final_rank = fused_rank("final_only")

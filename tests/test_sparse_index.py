@@ -10,12 +10,11 @@ import zipfile
 import numpy as np
 import pytest
 
+from icr.config import BM25_PROFILES, Bm25Params
 from icr.corpus import Passage
 from icr.errors import DataError, EmptyCollection
 from icr.sparse_index import (
-    BM25_PROFILES,
     INDEX_VERSION,
-    Bm25Params,
     _from_planes,
     _to_planes,
     build_sparse_index,

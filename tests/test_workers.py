@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from icr import cli, workers
+from icr import cli, ranking, workers
 from icr.evaluation import evaluate_run
 from icr.manifest import load_manifest
 from icr.ranking import RankedList, read_run, write_run
@@ -265,7 +265,7 @@ def test_ctrl_c_kills_and_reaps_the_workers(tmp_path, monkeypatch, forked):
                 os.kill(parent, signal.SIGTERM)
             write_run(lists, path)
 
-        monkeypatch.setattr(cli, "write_run", interrupted)
+        monkeypatch.setattr(ranking, "write_run", interrupted)
         with pytest.raises(KeyboardInterrupt if stop == "ctrl-c" else SystemExit) as stopped:
             _fuse(monkeypatch, 4, [*paths, "--out", out])
         if stop == "sigterm":
@@ -286,7 +286,7 @@ def test_failed_workers_are_redone_in_this_process(tmp_path, monkeypatch, forked
         write_run(lists, path)
 
     # every worker fails to write its shard
-    monkeypatch.setattr(cli, "write_run", fail_in_workers)
+    monkeypatch.setattr(ranking, "write_run", fail_in_workers)
     del reads[:]
     assert _fuse(monkeypatch, 3, [*paths, "--out", str(tmp_path / "redone.trec")]) == 0
     assert (tmp_path / "redone.trec").read_bytes() == (tmp_path / "one.trec").read_bytes()
