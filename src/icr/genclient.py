@@ -7,8 +7,7 @@ Two client implementations share one calling convention,
                    attempt); never performs network I/O and a missing
                    entry is an error, never a silent fallback.
   RemoteChatClient chat-completion-style HTTP endpoint with retries,
-                   exponential backoff, an in-flight cap, and an optional
-                   request-rate limit.
+                   exponential backoff and an in-flight cap.
 
 The fingerprint identifies the semantic request (the query being
 clarified, or query + clarification being rewritten) independently of the
@@ -167,25 +166,6 @@ class ScriptedMock:
         return mock
 
 
-class _RateLimiter:
-    """Token-bucket limiter: at most ``rate`` requests per second."""
-
-    def __init__(self, rate: float, sleep=time.sleep, clock=time.monotonic):
-        self.interval = 1.0 / rate
-        self._next_free = 0.0
-        self._lock = threading.Lock()
-        self._sleep = sleep
-        self._clock = clock
-
-    def wait(self) -> None:
-        with self._lock:
-            now = self._clock()
-            delay = self._next_free - now
-            self._next_free = max(now, self._next_free) + self.interval
-        if delay > 0:
-            self._sleep(delay)
-
-
 class _Endpoint:
     """An HTTP JSON endpoint and the retry policy of the remote clients.
 
@@ -193,16 +173,13 @@ class _Endpoint:
     5xx responses and unreadable bodies are retried with exponential
     backoff; any other 4xx, and a redirect, fails at once. Requests go
     through ``session``, a keep-alive ``transport.Transport`` unless one is
-    given. One in-flight slot is held for the whole call, and the rate
-    limiter (if any) is consulted before every attempt, retries included.
-    In a ``run_in_order`` batch that has stopped, no further attempt is
-    made.
+    given. One in-flight slot is held for the whole call. In a
+    ``run_in_order`` batch that has stopped, no further attempt is made.
     """
 
     _label = "endpoint"  # names the endpoint in ProviderUnavailable
 
-    def __init__(self, url, api_key, max_retries, backoff_seconds, timeout, max_in_flight, session, sleep,
-                 requests_per_second=None):
+    def __init__(self, url, api_key, max_retries, backoff_seconds, timeout, max_in_flight, session, sleep):
         self.url = url
         self.api_key = api_key
         self.max_retries = max_retries
@@ -216,7 +193,6 @@ class _Endpoint:
         self._sleep = sleep
         self.max_in_flight = max_in_flight
         self._slots = threading.BoundedSemaphore(max_in_flight)
-        self._limiter = _RateLimiter(requests_per_second, sleep=sleep) if requests_per_second else None
 
     def _post(self, payload: dict, read: Callable):
         """POST ``payload`` and return ``read(body)``; ``read`` raising
@@ -232,8 +208,6 @@ class _Endpoint:
                     _check_batch()
                     self._sleep(self.backoff_seconds * (2 ** (i - 1)))
                     _check_batch()
-                if self._limiter is not None:
-                    self._limiter.wait()
                 try:
                     resp = self.session.post(self.url, json=payload, headers=headers, timeout=self.timeout)
                 except (OSError, HTTPException) as e:
@@ -274,12 +248,10 @@ class RemoteChatClient(_Endpoint):
         backoff_seconds: float = 0.5,
         timeout: float = 60.0,
         max_in_flight: int = 4,
-        requests_per_second: float | None = None,
         session: Transport | None = None,
         sleep=time.sleep,
     ):
-        super().__init__(url, api_key, max_retries, backoff_seconds, timeout, max_in_flight, session, sleep,
-                         requests_per_second)
+        super().__init__(url, api_key, max_retries, backoff_seconds, timeout, max_in_flight, session, sleep)
         self.model = model
         self.temperature = temperature
 

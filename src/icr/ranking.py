@@ -172,7 +172,6 @@ def read_run(path: str, start: int = 0, stop: int | None = None) -> Run:
     ranks = array("q")
     scores = array("d")
     pids: list[str] = []
-    blank_lines: list[int] = []
     line_no = 0
     # numpy 1.x reads a rank such as 1.5 via float with only a warning, and
     # numpy warns on a chunk of blank lines: as errors, both take the
@@ -180,7 +179,7 @@ def read_run(path: str, start: int = 0, stop: int | None = None) -> Run:
     with _open_text(path, start, stop) as fh, warnings.catch_warnings():
         warnings.simplefilter("error")
         while lines := fh.readlines(_CHUNK_CHARS):
-            qids, sizes, chunk_pids, rank, score = _parse_chunk(path, lines, line_no, blank_lines)
+            qids, sizes, chunk_pids, rank, score = _parse_chunk(path, lines, line_no)
             line_no += len(lines)
             block_codes += [codes.setdefault(qid, len(codes)) for qid in qids]
             block_sizes += sizes
@@ -203,20 +202,16 @@ def read_run(path: str, start: int = 0, stop: int | None = None) -> Run:
     ordered = pids if order is None else [pids[row] for row in order.tolist()]
     spans = {}
     for qid, code in codes.items():
-        start, stop = bounds[code], bounds[code + 1]
-        if len(set(ordered[start:stop])) != stop - start:
-            rows = range(start, stop) if order is None else np.sort(order[start:stop]).tolist()
-            _raise_repeat(path, qid, pids, rows, blank_lines)
-        spans[qid] = (start, stop)
+        first, last = bounds[code], bounds[code + 1]
+        if len(set(ordered[first:last])) != last - first:
+            _raise_repeat(path, start, stop, qid)
+        spans[qid] = (first, last)
     return Run(ordered, score, spans)
 
 
-def _parse_chunk(
-    path: str, lines: list[str], line_no: int, blank_lines: list[int]
-) -> tuple[list[str], list[int], list[str], bytes, bytes]:
+def _parse_chunk(path: str, lines: list[str], line_no: int) -> tuple[list[str], list[int], list[str], bytes, bytes]:
     """One chunk of run lines, the first of which is line ``line_no + 1``, as
-    (qid and size of each block of equal qids, passage ids, ranks, scores);
-    appends the numbers of its blank lines to ``blank_lines``.
+    (qid and size of each block of equal qids, passage ids, ranks, scores).
 
     numpy's C reader splits on the same whitespace as ``str.split`` and
     accepts a subset of the numbers ``int`` and ``float`` accept, with equal
@@ -235,8 +230,6 @@ def _parse_chunk(
         except (ValueError, Warning):
             rows = None
         if rows is not None and np.isfinite(rows["score"]).all():
-            if len(rows) != len(lines):
-                blank_lines += [n for n, line in enumerate(lines, line_no + 1) if not line.split()]
             qids = rows["qid"]
             starts = np.flatnonzero(np.concatenate(([True], qids[1:] != qids[:-1])))
             # copies, so no field view keeps the whole row array alive
@@ -244,12 +237,10 @@ def _parse_chunk(
                 qids[starts].tolist(), np.diff(starts, append=len(rows)).tolist(),
                 rows["pid"].tolist(), rows["rank"].tobytes(), rows["score"].tobytes(),
             )
-    return _parse_lines(path, lines, line_no, blank_lines)
+    return _parse_lines(path, lines, line_no)
 
 
-def _parse_lines(
-    path: str, lines: list[str], line_no: int, blank_lines: list[int]
-) -> tuple[list[str], list[int], list[str], bytes, bytes]:
+def _parse_lines(path: str, lines: list[str], line_no: int) -> tuple[list[str], list[int], list[str], bytes, bytes]:
     """``_parse_chunk`` one line at a time, under Python's own rules, with a
     block per line."""
     qids: list[str] = []
@@ -259,7 +250,6 @@ def _parse_lines(
     for line_no, line in enumerate(lines, line_no + 1):
         parts = line.split()
         if not parts:
-            blank_lines.append(line_no)
             continue
         if len(parts) != 6:
             raise MalformedRecord(path, line_no, "expected 6 columns: qid Q0 docid rank score tag")
@@ -280,20 +270,14 @@ def _parse_lines(
     return qids, [1] * len(qids), pids, array("q", ranks).tobytes(), array("d", scores).tobytes()
 
 
-def _raise_repeat(path: str, qid: str, pids: list[str], rows: Iterable[int], blank_lines: list[int]) -> None:
-    """Name the first of a query's ``rows`` (ascending) whose passage id an
-    earlier row holds."""
+def _raise_repeat(path: str, start: int, stop: int | None, qid: str) -> None:
+    """Name the first line of query ``qid`` in the file's bytes ``[start,
+    stop)`` whose passage id an earlier line of that query holds."""
     seen: set[str] = set()
-    for row in rows:
-        if pids[row] in seen:
-            raise MalformedRecord(path, _line_of(row, blank_lines), f"docid {pids[row]!r} repeats in query {qid!r}")
-        seen.add(pids[row])
-
-
-def _line_of(row: int, blank_lines: list[int]) -> int:
-    """The 1-based line number of the ``row``-th (0-based) non-blank line."""
-    line_no = row + 1
-    for blank in blank_lines:
-        if blank <= line_no:
-            line_no += 1
-    return line_no
+    with _open_text(path, start, stop) as fh:
+        for line_no, line in enumerate(fh, 1):
+            parts = line.split()
+            if parts and parts[0] == qid:
+                if parts[2] in seen:
+                    raise MalformedRecord(path, line_no, f"docid {parts[2]!r} repeats in query {qid!r}")
+                seen.add(parts[2])

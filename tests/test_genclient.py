@@ -212,22 +212,6 @@ def test_remote_client_recovers_after_retryable_status():
     assert client.generate("clarify", "q", "prompt", 0) == "ok"
 
 
-def test_remote_client_rate_limit_spacing():
-    sleeps = []
-    session = _FakeSession([_FakeResponse(payload=_chat_payload("ok"))] * 3)
-    client = RemoteChatClient(
-        "http://x/chat",
-        requests_per_second=100.0,
-        session=session,
-        sleep=sleeps.append,
-    )
-    for _ in range(3):
-        client.generate("clarify", "q", "p", 0)
-    # first call free, later calls queue up behind 10ms slots
-    assert len(sleeps) == 2
-    assert all(0 < s <= 0.025 for s in sleeps)
-
-
 def test_remote_client_from_env(monkeypatch):
     monkeypatch.delenv("ICR_GEN_URL", raising=False)
     with pytest.raises(MissingRequired):
@@ -269,21 +253,14 @@ def test_remote_client_fails_at_once_on_client_error():
     assert sleeps == []
 
 
-def test_remote_client_rate_limits_every_attempt():
+def test_remote_client_backoff_doubles_per_retry():
     sleeps = []
     session = _FakeSession(
         [_FakeResponse(status_code=429), _FakeResponse(status_code=429), _FakeResponse(payload=_chat_payload("ok"))]
     )
-    client = RemoteChatClient(
-        "http://x/chat", requests_per_second=100.0, session=session, sleep=sleeps.append
-    )
+    client = RemoteChatClient("http://x/chat", session=session, sleep=sleeps.append)
     assert client.generate("clarify", "q", "prompt", 0) == "ok"
-    backoffs = [s for s in sleeps if s >= 0.5]
-    limiter_waits = [s for s in sleeps if s < 0.5]
-    assert backoffs == [0.5, 1.0]
-    # the first attempt is free; each retry queues behind a 10ms slot
-    assert len(limiter_waits) == 2
-    assert all(0 < s <= 0.025 for s in limiter_waits)
+    assert sleeps == [0.5, 1.0]
 
 
 def test_client_widths():
