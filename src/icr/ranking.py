@@ -145,8 +145,6 @@ class Run(Mapping[str, RankedList]):
         return len(self._spans)
 
 
-_INT64 = range(-(2**63), 2**63)
-
 #: Characters read at once: 2,048 lines of 32. numpy parses each chunk into
 #: a row array of (lines x longest line) characters per id column, so a chunk
 #: over four times this size (a very long line) takes the per-line rules.
@@ -156,10 +154,10 @@ _CHUNK_CHARS = 1 << 16
 def read_run(path: str, start: int = 0, stop: int | None = None) -> Run:
     """Read a TREC run file into a Run of per-query RankedLists.
 
-    Entries follow the file's rank column (file order among equal ranks);
-    queries keep first-seen order. A docid repeated within one query is a
-    MalformedRecord, since a ranked list holds each passage once, and so is
-    a non-finite score, which no ranking can order, or a rank outside int64.
+    Entries follow the canonical (score desc, id asc) order, and the rank
+    column is not read; queries keep first-seen order. A docid repeated
+    within one query is a MalformedRecord, since a ranked list holds each
+    passage once, and so is a non-finite score, which no ranking can order.
 
     With ``start`` or ``stop``, only the file's bytes ``[start, stop)`` are
     read, under the same rules; they should begin at a line start. Errors
@@ -169,35 +167,32 @@ def read_run(path: str, start: int = 0, stop: int | None = None) -> Run:
     codes: dict[str, int] = {}
     block_codes: list[int] = []  # one per run of lines with equal qids
     block_sizes: list[int] = []
-    ranks = array("q")
     scores = array("d")
     pids: list[str] = []
     line_no = 0
-    # numpy 1.x reads a rank such as 1.5 via float with only a warning, and
-    # numpy warns on a chunk of blank lines: as errors, both take the
+    # numpy warns on a chunk of blank lines: as an error, it takes the
     # per-line rules
     with _open_text(path, start, stop) as fh, warnings.catch_warnings():
         warnings.simplefilter("error")
         while lines := fh.readlines(_CHUNK_CHARS):
-            qids, sizes, chunk_pids, rank, score = _parse_chunk(path, lines, line_no)
+            qids, sizes, chunk_pids, score = _parse_chunk(path, lines, line_no)
             line_no += len(lines)
             block_codes += [codes.setdefault(qid, len(codes)) for qid in qids]
             block_sizes += sizes
-            ranks.frombytes(rank)
             scores.frombytes(score)
             pids += chunk_pids
     qcode = np.repeat(np.array(block_codes, dtype=np.int64), block_sizes)
-    # each view holds its array, so deleting the view frees the column
-    rank = np.frombuffer(ranks, dtype=np.int64)
+    # the view holds its array, so replacing the view frees the column
     score = np.frombuffer(scores, dtype=np.float64)
-    del ranks, scores
+    del scores
     order = None
-    q, r = qcode[:-1], rank[:-1]
-    if not ((qcode[1:] > q) | ((qcode[1:] == q) & (rank[1:] >= r))).all():
-        # stable, so equal ranks keep file order
-        order = np.lexsort((rank, qcode))
+    same = qcode[1:] == qcode[:-1]
+    tied = np.flatnonzero(same & (score[1:] == score[:-1])).tolist()
+    if not ((qcode[1:] > qcode[:-1]) | (same & (score[1:] <= score[:-1]))).all() or not all(
+        pids[row] < pids[row + 1] for row in tied
+    ):
+        order = np.lexsort((id_ranks(pids), -score, qcode))
         score = score[order]
-    del q, r, rank
     bounds = np.concatenate(([0], np.cumsum(np.bincount(qcode, minlength=len(codes))))).tolist()
     ordered = pids if order is None else [pids[row] for row in order.tolist()]
     spans = {}
@@ -209,21 +204,21 @@ def read_run(path: str, start: int = 0, stop: int | None = None) -> Run:
     return Run(ordered, score, spans)
 
 
-def _parse_chunk(path: str, lines: list[str], line_no: int) -> tuple[list[str], list[int], list[str], bytes, bytes]:
+def _parse_chunk(path: str, lines: list[str], line_no: int) -> tuple[list[str], list[int], list[str], bytes]:
     """One chunk of run lines, the first of which is line ``line_no + 1``, as
-    (qid and size of each block of equal qids, passage ids, ranks, scores).
+    (qid and size of each block of equal qids, passage ids, scores).
 
     numpy's C reader splits on the same whitespace as ``str.split`` and
-    accepts a subset of the numbers ``int`` and ``float`` accept, with equal
-    values. A chunk it rejects, or whose scores are not all finite, takes
-    the per-line rules, which name the first bad line or read Python-only
+    accepts a subset of the numbers ``float`` accepts, with equal values.
+    A chunk it rejects, or whose scores are not all finite, takes the
+    per-line rules, which name the first bad line or read Python-only
     spellings such as ``1_0``. So does a chunk holding a NUL, which numpy's
     strings drop from the end of an id, or one too wide to parse at once.
     """
     width = max(map(len, lines))
     if len(lines) * width <= 4 * _CHUNK_CHARS and "\x00" not in "".join(lines):
         columns = [
-            ("qid", f"U{width}"), ("q0", "U1"), ("pid", f"U{width}"), ("rank", "i8"), ("score", "f8"), ("tag", "U1"),
+            ("qid", f"U{width}"), ("q0", "U1"), ("pid", f"U{width}"), ("rank", "U1"), ("score", "f8"), ("tag", "U1"),
         ]
         try:
             rows = np.loadtxt(lines, dtype=columns, comments=None, ndmin=1)
@@ -235,17 +230,16 @@ def _parse_chunk(path: str, lines: list[str], line_no: int) -> tuple[list[str], 
             # copies, so no field view keeps the whole row array alive
             return (
                 qids[starts].tolist(), np.diff(starts, append=len(rows)).tolist(),
-                rows["pid"].tolist(), rows["rank"].tobytes(), rows["score"].tobytes(),
+                rows["pid"].tolist(), rows["score"].tobytes(),
             )
     return _parse_lines(path, lines, line_no)
 
 
-def _parse_lines(path: str, lines: list[str], line_no: int) -> tuple[list[str], list[int], list[str], bytes, bytes]:
+def _parse_lines(path: str, lines: list[str], line_no: int) -> tuple[list[str], list[int], list[str], bytes]:
     """``_parse_chunk`` one line at a time, under Python's own rules, with a
     block per line."""
     qids: list[str] = []
     pids: list[str] = []
-    ranks: list[int] = []
     scores: list[float] = []
     for line_no, line in enumerate(lines, line_no + 1):
         parts = line.split()
@@ -253,21 +247,17 @@ def _parse_lines(path: str, lines: list[str], line_no: int) -> tuple[list[str], 
             continue
         if len(parts) != 6:
             raise MalformedRecord(path, line_no, "expected 6 columns: qid Q0 docid rank score tag")
-        qid, _, pid, rank_s, score_s, _ = parts
+        qid, _, pid, _, score_s, _ = parts
         try:
-            rank = int(rank_s)
             score = float(score_s)
         except ValueError as e:
-            raise MalformedRecord(path, line_no, f"bad rank/score: {e}") from e
+            raise MalformedRecord(path, line_no, f"bad score: {e}") from e
         if not isfinite(score):
             raise MalformedRecord(path, line_no, f"score {score_s!r} is not finite")
-        if rank not in _INT64:
-            raise MalformedRecord(path, line_no, f"rank {rank_s!r} is outside int64")
         qids.append(qid)
         pids.append(pid)
-        ranks.append(rank)
         scores.append(score)
-    return qids, [1] * len(qids), pids, array("q", ranks).tobytes(), array("d", scores).tobytes()
+    return qids, [1] * len(qids), pids, array("d", scores).tobytes()
 
 
 def _raise_repeat(path: str, start: int, stop: int | None, qid: str) -> None:

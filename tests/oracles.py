@@ -168,9 +168,10 @@ def oracle_hash_embedding(texts: list[str], dim: int) -> np.ndarray:
 
 def oracle_read_run(path: str) -> dict[str, RankedList]:
     """A TREC run read one row tuple at a time: each query's rows sorted by
-    (rank, line number), queries in first-seen order. A repeated docid is
-    named at its first repeat in file order, in the first such query."""
-    per_query: dict[str, list[tuple[int, int, str, float]]] = {}
+    (score desc, docid asc), the rank column unread, queries in first-seen
+    order. A repeated docid is named at its first repeat in file order, in
+    the first such query."""
+    per_query: dict[str, list[tuple[int, str, float]]] = {}
     with _open_text(path) as fh:
         for line_no, line in enumerate(fh, 1):
             parts = line.split()
@@ -178,24 +179,22 @@ def oracle_read_run(path: str) -> dict[str, RankedList]:
                 continue
             if len(parts) != 6:
                 raise MalformedRecord(path, line_no, "expected 6 columns: qid Q0 docid rank score tag")
-            qid, _, pid, rank_s, score_s, _ = parts
+            qid, _, pid, _, score_s, _ = parts
             try:
-                rank = int(rank_s)
                 score = float(score_s)
             except ValueError as e:
-                raise MalformedRecord(path, line_no, f"bad rank/score: {e}") from e
+                raise MalformedRecord(path, line_no, f"bad score: {e}") from e
             if not math.isfinite(score):
                 raise MalformedRecord(path, line_no, f"score {score_s!r} is not finite")
-            per_query.setdefault(qid, []).append((rank, line_no, pid, score))
+            per_query.setdefault(qid, []).append((line_no, pid, score))
     out: dict[str, RankedList] = {}
     for qid, rows in per_query.items():
-        rows.sort()
         seen: set[str] = set()
-        for _, line_no, pid, _ in sorted(rows, key=lambda r: r[1]):
+        for line_no, pid, _ in rows:
             if pid in seen:
                 raise MalformedRecord(path, line_no, f"docid {pid!r} repeats in query {qid!r}")
             seen.add(pid)
-        out[qid] = RankedList(qid, [(pid, score) for _, _, pid, score in rows])
+        out[qid] = RankedList(qid, sorted(((pid, score) for _, pid, score in rows), key=lambda e: (-e[1], e[0])))
     return out
 
 
@@ -216,7 +215,8 @@ def oracle_evaluate(run: Mapping[str, RankedList], qrels_path: str) -> dict:
     missing = [qid for qid in grades if qid not in run]
     per_sample = {}
     for qid in [*run, *missing]:
-        ids = [pid for pid, _ in run[qid].entries] if qid in run else []
+        # the canonical order, whatever order the run's entries are in
+        ids = [pid for pid, _ in sorted(run[qid].entries, key=lambda e: (-e[1], e[0]))] if qid in run else []
         judged = grades.get(qid, {})
         relevant = {pid for pid, grade in judged.items() if grade >= 1}
         per_sample[qid] = {

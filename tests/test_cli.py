@@ -316,6 +316,17 @@ def test_evaluate_and_analyze_print_one_line_and_write_the_report(ws, capsys):
     assert analysis["num_trajectories"] == 2 and {"lsr", "gsr", "delta_f"} <= set(analysis)
 
 
+def test_evaluate_orders_each_query_by_score_not_by_the_rank_column(tmp_path, capsys):
+    # ranked by score, as trec_eval ranks, the one relevant passage is first
+    run, qrels, report = tmp_path / "run.trec", tmp_path / "qrels.txt", tmp_path / "report.json"
+    run.write_text("q1 Q0 d1 2 1.0 T\nq1 Q0 d2 1 0.5 T\n")
+    qrels.write_text("q1 0 d1 1\n")
+    assert main(["evaluate", "--run", str(run), "--qrels", str(qrels), "--out", str(report)]) == 0
+    aggregate = json.loads(report.read_text())["aggregate"]
+    assert (aggregate["mrr"], aggregate["ndcg3"]) == (1.0, 1.0)
+    capsys.readouterr()
+
+
 def test_an_empty_last_iteration_is_not_in_the_per_query_files(tmp_path, capsys):
     # a run file has no line for an empty list, so fuse cannot see that the
     # last rewrite retrieved nothing: final_only takes the list before it

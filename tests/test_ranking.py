@@ -97,26 +97,24 @@ def test_read_run_rejects_a_non_finite_score(tmp_path, score):
     assert (err.value.line_no, err.value.reason) == (2, f"score {score!r} is not finite")
 
 
-@pytest.mark.parametrize("rank", [str(2**63), str(-(2**63) - 1), "9" * 40])
-def test_read_run_rejects_a_rank_outside_int64(tmp_path, rank):
-    # ranks are held as int64, so a wider one must be named, not overflow
-    path = tmp_path / "run.trec"
-    path.write_text(f"q1 Q0 d1 1 2.0 T\n\nq1 Q0 d2 {rank} 1.0 T\n")
-    with pytest.raises(MalformedRecord) as err:
-        read_run(str(path))
-    assert (err.value.line_no, err.value.reason) == (3, f"rank {rank!r} is outside int64")
-
-
 def test_read_run_accepts_the_int64_extremes(tmp_path):
     path = tmp_path / "run.trec"
     path.write_text(f"q1 Q0 a {2**63 - 1} 1.0 T\nq1 Q0 b {-(2**63)} 1.0 T\n")
-    assert read_run(str(path))["q1"].ids() == ["b", "a"]
+    assert read_run(str(path))["q1"].ids() == ["a", "b"]
 
 
-def test_read_run_orders_by_rank_then_file_order(tmp_path):
+@pytest.mark.parametrize("rank", [str(2**63), "9" * 40, "1.5", "x"])
+def test_read_run_does_not_read_the_rank_column(tmp_path, rank):
+    # trec_eval orders by score and ignores the rank column, and so does icr
+    path = tmp_path / "run.trec"
+    path.write_text(f"q1 Q0 d1 1 2.0 T\n\nq1 Q0 d2 {rank} 1.0 T\n")
+    assert read_run(str(path))["q1"].entries == [("d1", 2.0), ("d2", 1.0)]
+
+
+def test_read_run_orders_by_score_then_id(tmp_path):
     path = tmp_path / "run.trec"
     path.write_text("q1 Q0 b 2 1.0 T\nq1 Q0 c 1 3.0 T\nq1 Q0 a 2 1.0 T\n")
-    assert read_run(str(path))["q1"].entries == [("c", 3.0), ("b", 1.0), ("a", 1.0)]
+    assert read_run(str(path))["q1"].entries == [("c", 3.0), ("a", 1.0), ("b", 1.0)]
 
 
 def test_empty_list_counts_as_missing_query(tmp_path):

@@ -521,7 +521,7 @@ def test_a_bad_run_is_reported_before_bad_qrels(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == f"data error: {qrels}:1: expected 4 columns: qid 0 docid grade\n"
     Path(run).write_text("q1 Q0 p1 1 x T\n")
     assert _evaluate(monkeypatch, 3, run, qrels, str(tmp_path / "report.json")) == 2
-    assert capsys.readouterr().err.startswith(f"data error: {run}:1: bad rank/score: ")
+    assert capsys.readouterr().err.startswith(f"data error: {run}:1: bad score: ")
 
 
 def test_failed_evaluate_workers_are_redone_in_this_process(tmp_path, monkeypatch, capsys, forked, whole_file):
