@@ -101,8 +101,10 @@ def _load_indexes(args, mode: str):
     return Indexes(sparse, dense, RemoteEmbeddingProvider(url, dim=dense.dim, name=dense.provider_name))
 
 
-def _dataset(args, config: Config):
-    path = _require_path(args.dataset or config.train or config.test, "--dataset")
+def _dataset(args, default: str | None):
+    """``--dataset``, or else ``default``, the config key the command reads
+    (``dataset.train`` or ``dataset.test``), and its samples."""
+    path = _require_path(args.dataset or default, "--dataset")
     return path, load_cqr_dataset(path)
 
 
@@ -146,7 +148,7 @@ def cmd_embed_index(args, config: Config) -> tuple[list, list]:
 def cmd_crdg(args, config: Config) -> tuple[list, list]:
     from .crdg import build_crdg_dataset
 
-    dataset_path, samples = _dataset(args, config)
+    dataset_path, samples = _dataset(args, config.train)
     indexes = _load_indexes(args, config.crdg.f_mode)
     client = _make_client(args, config)
     stats = build_crdg_dataset(samples, client, indexes, config.crdg, args.out, seed=args.seed)
@@ -158,7 +160,7 @@ def cmd_prefdata(args, config: Config) -> tuple[list, list]:
     from .crdg import load_trajectories
     from .prefdata import build_pref_dataset
 
-    dataset_path, samples = _dataset(args, config)
+    dataset_path, samples = _dataset(args, config.train)
     trajectories = load_trajectories(args.crdg)
     indexes = _load_indexes(args, config.crdg.f_mode)
     client = _make_client(args, config)
@@ -176,7 +178,7 @@ def cmd_sftdata(args, config: Config) -> tuple[list, list]:
     from .crdg import read_crdg_records
     from .sftdata import emit_sft_dataset
 
-    dataset_path, samples = _dataset(args, config)
+    dataset_path, samples = _dataset(args, config.train)
     records = read_crdg_records(args.crdg)
     stats = emit_sft_dataset(records, samples, args.out)
     print(
@@ -189,7 +191,7 @@ def cmd_sftdata(args, config: Config) -> tuple[list, list]:
 def cmd_infer(args, config: Config) -> tuple[list, list]:
     from .pipeline import emit_per_query_runs, emit_run, run_batch
 
-    dataset_path, samples = _dataset(args, config)
+    dataset_path, samples = _dataset(args, config.test)
     inference = config.inference
     if args.retriever:
         inference.retriever = args.retriever
@@ -219,14 +221,7 @@ def cmd_fuse(args, config: Config) -> tuple[list, list]:
     fusion = replace(config.fusion, **{name: value for name, value in flags.items() if value is not None})
 
     def write(runs, qids, fh):
-        def fused():
-            for qid in qids:
-                # a query stops at the last run that holds it, as in
-                # emit_per_query_runs, so final_only takes its own last list
-                last = max(i for i, run in enumerate(runs) if qid in run)
-                yield fuse([run.get(qid, RankedList(qid)) for run in runs[: last + 1]], fusion, tag=qid)
-
-        write_run(fused(), fh)
+        write_run((fuse([run.get(qid, RankedList(qid)) for run in runs], fusion, tag=qid) for qid in qids), fh)
 
     queries = fuse_files(args.runs, write, args.out)
     print(f"fused {len(args.runs)} runs over {queries} queries -> {args.out}")
@@ -237,16 +232,17 @@ def cmd_evaluate(args, config: Config) -> tuple[list, list]:
     from .ranking import read_run
     from .workers import evaluate_file
 
+    qrels_path = _require_path(args.qrels or config.qrels, "--qrels")
     # the workers inherit the qrels, so they are loaded first; a bad run
     # file is still the error reported when both are bad
     try:
-        qrels = load_qrels(args.qrels)
+        qrels = load_qrels(qrels_path)
     except (DataError, OSError):
         read_run(args.run)
         raise
     report = evaluate_file(args.run, qrels)
     _write_report("evaluate", report, report["num_samples"], args.out)
-    return [args.run, args.qrels], [args.out]
+    return [args.run, qrels_path], [args.out]
 
 
 def cmd_analyze(args, config: Config) -> tuple[list, list]:
@@ -270,7 +266,7 @@ def cmd_analyze(args, config: Config) -> tuple[list, list]:
 def cmd_latency(args, config: Config) -> tuple[list, list]:
     from .pipeline import measure_latency
 
-    dataset_path, samples = _dataset(args, config)
+    dataset_path, samples = _dataset(args, config.test)
     inference = config.inference
     inference.step_wise = args.step_wise
     client = _make_client(args, config)
@@ -333,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_embed_index)
 
     p = sub.add_parser("crdg", help="construct clarification-rewriting trajectories")
-    p.add_argument("--dataset", help="CQR dataset JSONL")
+    p.add_argument("--dataset", help="CQR dataset JSONL (default: dataset.train)")
     p.add_argument("--out", required=True)
     _add_index_args(p)
     _add_gen_args(p)
@@ -342,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prefdata", help="build preference pairs from trajectories")
     p.add_argument("--crdg", required=True, help="trajectory dataset JSONL")
-    p.add_argument("--dataset", help="CQR dataset JSONL")
+    p.add_argument("--dataset", help="CQR dataset JSONL (default: dataset.train)")
     p.add_argument("--out", required=True)
     p.add_argument("--multi-ot", action="store_true", help="sample 1-4 redundant overthinking steps")
     _add_index_args(p)
@@ -352,13 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sftdata", help="emit span-labeled fine-tuning records")
     p.add_argument("--crdg", required=True)
-    p.add_argument("--dataset")
+    p.add_argument("--dataset", help="CQR dataset JSONL (default: dataset.train)")
     p.add_argument("--out", required=True)
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_sftdata)
 
     p = sub.add_parser("infer", help="iterative inference, retrieval, and fusion")
-    p.add_argument("--dataset")
+    p.add_argument("--dataset", help="CQR dataset JSONL (default: dataset.test)")
     p.add_argument("--out", required=True, help="fused TREC run path")
     p.add_argument("--retriever", choices=RETRIEVER_CHOICES)
     p.add_argument("--per-query-dir", help="also write one TREC run per iteration index")
@@ -379,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score a TREC run against qrels")
     p.add_argument("--run", required=True)
-    p.add_argument("--qrels", required=True)
+    p.add_argument("--qrels", help="TREC qrels file (default: dataset.qrels)")
     p.add_argument("--out", required=True, help="JSON report path")
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
@@ -392,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("latency", help="per-sample trajectory-generation latency")
-    p.add_argument("--dataset")
+    p.add_argument("--dataset", help="CQR dataset JSONL (default: dataset.test)")
     p.add_argument("--out", required=True)
     p.add_argument("--step-wise", action="store_true")
     _add_gen_args(p)

@@ -40,6 +40,7 @@ STOP_PROVIDER_FAILURE = "provider_failure"
 _RECORD_FIELDS = ("sample_id", "original_query", "f0", "steps", "serialized", "stop_reason")
 
 _MARKERS = "|".join(map(re.escape, (CLARIFICATION_MARKER, REWRITE_MARKER)))
+_MARKER_RE = re.compile(_MARKERS)
 # One match per segment: group 1 is its marker, group 2 its payload, and the
 # segment runs to the next marker or the end of the text.
 _SEGMENT_RE = re.compile(f"({_MARKERS})(.*?)(?={_MARKERS}|\\Z)", re.DOTALL)
@@ -116,13 +117,19 @@ def _next_step(client, sample: CQRSample, current: str, score, accept, budget: i
     ``budget`` times until ``accept`` holds for the rewrite's F; None when
     no attempt is accepted.
 
-    An empty generation uses up its attempt; other errors propagate.
+    An empty generation uses up its attempt, and so does one holding a
+    marker, which the serialized trajectory could not tell from its own;
+    other errors propagate.
     """
     for attempt in range(budget + 1):
         try:
             clarification = generate_clarification(client, current, attempt)
+            if _MARKER_RE.search(clarification):
+                continue
             rewrite = generate_rewrite(client, sample.history, current, clarification, attempt)
         except EmptyResponse:
+            continue
+        if _MARKER_RE.search(rewrite):
             continue
         quality = score(rewrite)
         if accept(quality.f):

@@ -4,7 +4,7 @@ Two rank-based schemes plus a passthrough:
 
   rrf        score(d) = sum over lists i of 1 / (rank_i(d) + k)
   prrf       score(d) = sum over lists i of i / (rank_i(d) + k)
-  final_only the last list, untouched apart from depth truncation
+  final_only the last non-empty list, untouched apart from depth truncation
 
 ``i`` is the 1-based iteration index of the list, so prrf weights later
 rewrites more heavily; a passage absent from a list contributes 0 from it.
@@ -30,7 +30,10 @@ def fuse(lists: Sequence[RankedList], config: FusionConfig, tag: str | None = No
         raise EmptyInput("fuse requires at least one ranked list")
     out_tag = tag if tag is not None else lists[-1].query_tag
     if config.mode == "final_only":
-        return RankedList(out_tag, list(lists[-1].entries[: config.depth]))
+        # a run file holds no line for an empty list, so a last rewrite that
+        # retrieved nothing does not empty the fused list
+        last = next((ranked.entries for ranked in reversed(lists) if ranked.entries), [])
+        return RankedList(out_tag, list(last[: config.depth]))
     scores: dict[str, float] = {}
     for i, ranked in enumerate(lists, 1):
         weight = float(i) if config.mode == "prrf" else 1.0

@@ -19,20 +19,24 @@ import os
 import re
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .config import InferenceConfig
 from .corpus import CQRSample, replacing
 from .crdg import _format_pairs, parse_trajectory
 from .errors import MissingScriptEntry
 from .evaluation import Indexes
-from .fusion import fuse
 from .genclient import generate_clarification, generate_rewrite, generate_trajectory_text, run_in_order
-from .ranking import RankedList, write_run
+
+if TYPE_CHECKING:
+    from .ranking import RankedList
+
+# fusion and ranking, which load numpy, are imported where they run, so
+# ``icr latency``, which only generates, loads no numpy
 
 logger = logging.getLogger(__name__)
 
-Searcher = Callable[[str, int, str], RankedList]
+Searcher = Callable[[str, int, str], "RankedList"]
 
 
 @dataclass
@@ -78,6 +82,8 @@ def retrieve_and_fuse(
 ) -> tuple[list[RankedList], RankedList, bool]:
     """Retrieve per query (iteration order) and fuse; falls back to the
     original query when no rewrite was parsed."""
+    from .fusion import fuse
+
     used_fallback = False
     if not queries:
         logger.warning("sample %s: no rewrites parsed, retrieving the original query", tag)
@@ -130,6 +136,8 @@ def run_batch(
 
 def emit_run(results: Sequence[InferenceResult], path: str, tag: str = "ICR") -> int:
     """Write fused lists as a TREC run; returns the count of empty lists."""
+    from .ranking import write_run
+
     with replacing(path) as temp:
         empty = write_run((r.fused for r in results), temp, tag=tag)
     if empty:
@@ -144,6 +152,8 @@ def emit_per_query_runs(results: Sequence[InferenceResult], directory: str, tag:
     Samples with fewer rewrites simply do not appear in the later files, so
     fusing the files in name order reproduces the in-memory fusion.
     """
+    from .ranking import write_run
+
     os.makedirs(directory, exist_ok=True)
     depth = max((len(r.per_query_runs) for r in results), default=0)
     for name in os.listdir(directory):

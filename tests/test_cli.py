@@ -327,9 +327,49 @@ def test_evaluate_orders_each_query_by_score_not_by_the_rank_column(tmp_path, ca
     capsys.readouterr()
 
 
+def _with_keys(ws, **keys) -> str:
+    """``ws``'s config with ``dataset.<name> = <path>`` keys added."""
+    config = ws["out"] / "keys.conf"
+    config.write_text(Path(ws["config"]).read_text() + "".join(f"dataset.{k} = {v}\n" for k, v in keys.items()))
+    return str(config)
+
+
+def test_infer_reads_dataset_test_not_dataset_train(ws, capsys):
+    sparse, _ = _build_indexes(ws)
+    test = ws["out"] / "test.jsonl"
+    test.write_text("".join(line for line in Path(ws["dataset"]).open() if '"s2"' in line))
+    config = _with_keys(ws, train=ws["dataset"], test=test)
+    run = str(ws["out"] / "run.trec")
+    assert main(["infer", "--sparse-index", sparse, "--mock-script", ws["script"], "--out", run,
+                 "--config", config]) == 0
+    assert {line.split()[0] for line in Path(run).read_text().splitlines()} == {"s2"}
+    assert str(test) in load_manifest(run + ".manifest.json")["inputs"]
+    capsys.readouterr()
+
+
+def test_crdg_does_not_read_dataset_test(ws, capsys):
+    sparse, dense = _build_indexes(ws)
+    config = _with_keys(ws, test=ws["dataset"])
+    assert main(["crdg", "--sparse-index", sparse, "--dense-index", dense, "--mock-script", ws["script"],
+                 "--out", str(ws["out"] / "dcr.jsonl"), "--config", config]) == 2
+    assert capsys.readouterr().err == "data error: missing required setting '--dataset'\n"
+
+
+def test_evaluate_reads_its_qrels_from_dataset_qrels(ws, capsys):
+    run, report = ws["out"] / "run.trec", str(ws["out"] / "report.json")
+    run.write_text("s1 Q0 gold 1 1.0 T\n")
+    assert main(["evaluate", "--run", str(run), "--out", report]) == 2
+    assert capsys.readouterr().err == "data error: missing required setting '--qrels'\n"
+    assert main(["evaluate", "--run", str(run), "--out", report, "--config", _with_keys(ws, qrels=ws["qrels"])]) == 0
+    assert json.loads(Path(report).read_text())["num_samples"] == 3
+    assert ws["qrels"] in load_manifest(report + ".manifest.json")["inputs"]
+    capsys.readouterr()
+
+
 def test_an_empty_last_iteration_is_not_in_the_per_query_files(tmp_path, capsys):
     # a run file has no line for an empty list, so fuse cannot see that the
-    # last rewrite retrieved nothing: final_only takes the list before it
+    # last rewrite retrieved nothing: final_only takes the list before it, in
+    # infer as in fuse
     lists = {"a": RankedList("s", [("a", 1.0)]), "b": RankedList("s")}
     config = InferenceConfig()
     runs = {}
@@ -342,8 +382,62 @@ def test_an_empty_last_iteration_is_not_in_the_per_query_files(tmp_path, capsys)
         iter_files = emit_per_query_runs([result], str(tmp_path / mode))
         assert main(["fuse", *iter_files, "--mode", mode, "--out", fused_run]) == 0
         runs[mode] = Path(infer_run).read_text(), Path(fused_run).read_text()
-    assert runs["final_only"] == ("", "s Q0 a 1 1.0 ICR\n")
+    assert runs["final_only"] == ("s Q0 a 1 1.0 ICR\n", "s Q0 a 1 1.0 ICR\n")
     assert runs["prrf"][0] and runs["prrf"][1] == runs["prrf"][0]
+    capsys.readouterr()
+
+
+def test_final_only_infer_and_fuse_agree_when_the_last_rewrite_finds_nothing(tmp_path, capsys):
+    # the last rewrite shares no token with the collection
+    (tmp_path / "collection.tsv").write_text(
+        "p1\tsusan belbin produced the sitcom one foot in the grave and other shows\n"
+        "p2\tshe said anything else was available elsewhere\n"
+    )
+    sample = {"sample_id": "s1", "history": [], "query": "has she produced anything else?", "gold_passage_ids": ["p1"]}
+    (tmp_path / "test.jsonl").write_text(json.dumps(sample) + "\n")
+    trajectory = "[Clarification] Who is she? [Rewrite] susan belbin shows [Clarification] Which? [Rewrite] zzzz qqqq"
+    script = {"kind": "trajectory", "fingerprint": "Q: has she produced anything else?", "response": trajectory}
+    (tmp_path / "script.jsonl").write_text(json.dumps(script) + "\n")
+    (tmp_path / "icr.conf").write_text("fusion.mode = final_only\n")
+    run, iters, fused, sparse = (str(tmp_path / name) for name in ("run.trec", "iters", "fused.trec", "sparse.idx"))
+    config = ["--config", str(tmp_path / "icr.conf")]
+    assert main(["build-index", "--collection", str(tmp_path / "collection.tsv"), "--out", sparse, *config]) == 0
+    assert main(["infer", "--dataset", str(tmp_path / "test.jsonl"), "--sparse-index", sparse, "--mock-script",
+                 str(tmp_path / "script.jsonl"), "--out", run, "--per-query-dir", iters, *config]) == 0
+    assert main(["fuse", *sorted(str(p) for p in Path(iters).glob("iter_*.trec")), "--out", fused, *config]) == 0
+    assert Path(run).read_text().split()[:3] == ["s1", "Q0", "p1"]
+    assert Path(run).read_bytes() == Path(fused).read_bytes()
+    capsys.readouterr()
+
+
+def test_a_generation_holding_a_marker_uses_up_its_attempt(tmp_path, capsys):
+    # serialized, "[Rewrite]" inside a clarification would split the pair
+    (tmp_path / "collection.tsv").write_text(
+        "p1\tsusan belbin produced the sitcom one foot in the grave and other shows\n"
+        "p2\tshe said anything else was available elsewhere\n"
+        "p3\tone foot equals twelve inches\n"
+    )
+    query, rewrite = "has she produced anything else?", "has susan belbin produced anything else?"
+    sample = {"sample_id": "s1", "history": [], "query": query, "gold_passage_ids": ["p1"]}
+    (tmp_path / "train.jsonl").write_text(json.dumps(sample) + "\n")
+    marked, clean = "Who is meant by [Rewrite] here?", 'Who does "she" refer to?'
+    script = [
+        {"kind": "clarify", "fingerprint": query, "attempt": 0, "response": marked},
+        {"kind": "rewrite", "fingerprint": f"{query}\n{marked}", "attempt": 0, "response": rewrite},
+        {"kind": "clarify", "fingerprint": query, "attempt": 1, "response": clean},
+        {"kind": "rewrite", "fingerprint": f"{query}\n{clean}", "attempt": 1, "response": rewrite},
+    ]
+    (tmp_path / "script.jsonl").write_text("".join(json.dumps(entry) + "\n" for entry in script))
+    (tmp_path / "icr.conf").write_text("crdg.f_mode = sparse_only\ncrdg.max_iters = 1\n")
+    sparse, dcr, sft = (str(tmp_path / name) for name in ("sparse.idx", "dcr.jsonl", "sft.jsonl"))
+    config = ["--config", str(tmp_path / "icr.conf")]
+    dataset = ["--dataset", str(tmp_path / "train.jsonl")]
+    assert main(["build-index", "--collection", str(tmp_path / "collection.tsv"), "--out", sparse, *config]) == 0
+    assert main(["crdg", *dataset, "--sparse-index", sparse, "--mock-script", str(tmp_path / "script.jsonl"),
+                 "--out", dcr, *config]) == 0
+    steps = json.loads(Path(dcr).read_text())["steps"]
+    assert [(step["clarification"], step["attempts"]) for step in steps] == [(clean, 2)]
+    assert main(["sftdata", "--crdg", dcr, *dataset, "--out", sft, *config]) == 0
     capsys.readouterr()
 
 

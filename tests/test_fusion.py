@@ -61,6 +61,13 @@ def test_final_only_returns_last_list():
     assert fused.entries == l2.entries
 
 
+def test_final_only_skips_trailing_empty_lists():
+    l1 = _list("q", ["a", "b"])
+    fused = fuse([l1, RankedList("q"), RankedList("q")], FusionConfig(mode="final_only"))
+    assert fused.entries == l1.entries
+    assert fuse([RankedList("q")] * 2, FusionConfig(mode="final_only")).entries == []
+
+
 def test_empty_input_rejected():
     with pytest.raises(EmptyInput):
         fuse([], FusionConfig())

@@ -67,6 +67,8 @@ def test_commands_without_numpy_work_do_not_load_it(chain):
         "sftdata": ["sftdata", "--crdg", chain["dcr"], "--dataset", chain["dataset"], "--out", sft],
         "analyze": ["analyze", "--crdg", chain["dcr"], "--out", str(out / "analysis.json")],
         "verify": ["verify", sft + ".manifest.json"],
+        "latency": ["latency", "--dataset", chain["dataset"], "--mock-script", chain["script"],
+                    "--out", str(out / "latency.json")],
     }
     for name, argv in commands.items():
         loaded = _loaded(argv)
