@@ -42,7 +42,8 @@ def ranked_from_scores(query_tag: str, scores: Mapping[str, float], k: int) -> R
 
 def id_ranks(ids: Sequence[str]) -> np.ndarray:
     """Position of each ordinal's id under Python string order, the
-    canonical tie-break; an index computes it once."""
+    canonical tie-break; an index computes it once, and ``read_run`` for a
+    run out of canonical order."""
     ranks = np.empty(len(ids), dtype=np.int64)
     ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     return ranks
@@ -185,12 +186,14 @@ def read_run(path: str, start: int = 0, stop: int | None = None) -> Run:
     # the view holds its array, so replacing the view frees the column
     score = np.frombuffer(scores, dtype=np.float64)
     del scores
+    # a run that write_run wrote is in canonical order already and is kept
+    # as read; only its few score ties are compared in Python
     order = None
     same = qcode[1:] == qcode[:-1]
-    tied = np.flatnonzero(same & (score[1:] == score[:-1])).tolist()
-    if not ((qcode[1:] > qcode[:-1]) | (same & (score[1:] <= score[:-1]))).all() or not all(
-        pids[row] < pids[row + 1] for row in tied
-    ):
+    canonical = ((qcode[1:] > qcode[:-1]) | (same & (score[1:] <= score[:-1]))).all() and all(
+        pids[row] < pids[row + 1] for row in np.flatnonzero(same & (score[1:] == score[:-1])).tolist()
+    )
+    if not canonical:
         order = np.lexsort((id_ranks(pids), -score, qcode))
         score = score[order]
     bounds = np.concatenate(([0], np.cumsum(np.bincount(qcode, minlength=len(codes))))).tolist()

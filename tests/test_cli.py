@@ -337,7 +337,7 @@ def _with_keys(ws, **keys) -> str:
 def test_infer_reads_dataset_test_not_dataset_train(ws, capsys):
     sparse, _ = _build_indexes(ws)
     test = ws["out"] / "test.jsonl"
-    test.write_text("".join(line for line in Path(ws["dataset"]).open() if '"s2"' in line))
+    test.write_text("".join(line for line in Path(ws["dataset"]).read_text().splitlines(True) if '"s2"' in line))
     config = _with_keys(ws, train=ws["dataset"], test=test)
     run = str(ws["out"] / "run.trec")
     assert main(["infer", "--sparse-index", sparse, "--mock-script", ws["script"], "--out", run,
