@@ -387,24 +387,39 @@ def test_an_empty_last_iteration_is_not_in_the_per_query_files(tmp_path, capsys)
     capsys.readouterr()
 
 
-def test_final_only_infer_and_fuse_agree_when_the_last_rewrite_finds_nothing(tmp_path, capsys):
-    # the last rewrite shares no token with the collection
+TOY_QUERY = "has she produced anything else?"
+
+
+def _toy_flags(tmp_path, config: str, script: list[dict]) -> dict[str, list[str]]:
+    """The README walkthrough's collection, indexed, and its one sample, with
+    ``script`` as the mock script and ``config`` as the config file; returns
+    the dataset, config, and index and generator flags."""
     (tmp_path / "collection.tsv").write_text(
         "p1\tsusan belbin produced the sitcom one foot in the grave and other shows\n"
         "p2\tshe said anything else was available elsewhere\n"
+        "p3\tone foot equals twelve inches\n"
     )
-    sample = {"sample_id": "s1", "history": [], "query": "has she produced anything else?", "gold_passage_ids": ["p1"]}
-    (tmp_path / "test.jsonl").write_text(json.dumps(sample) + "\n")
+    sample = {"sample_id": "s1", "history": [], "query": TOY_QUERY, "gold_passage_ids": ["p1"]}
+    (tmp_path / "data.jsonl").write_text(json.dumps(sample) + "\n")
+    (tmp_path / "script.jsonl").write_text("".join(json.dumps(entry) + "\n" for entry in script))
+    (tmp_path / "icr.conf").write_text(config)
+    flags = {"dataset": ["--dataset", str(tmp_path / "data.jsonl")], "config": ["--config", str(tmp_path / "icr.conf")]}
+    sparse = str(tmp_path / "sparse.idx")
+    assert main(["build-index", "--collection", str(tmp_path / "collection.tsv"), "--out", sparse, *flags["config"]]) == 0
+    flags["search"] = ["--sparse-index", sparse, "--mock-script", str(tmp_path / "script.jsonl")]
+    return flags
+
+
+def test_final_only_infer_and_fuse_agree_when_the_last_rewrite_finds_nothing(tmp_path, capsys):
+    # the last rewrite shares no token with the collection
     trajectory = "[Clarification] Who is she? [Rewrite] susan belbin shows [Clarification] Which? [Rewrite] zzzz qqqq"
-    script = {"kind": "trajectory", "fingerprint": "Q: has she produced anything else?", "response": trajectory}
-    (tmp_path / "script.jsonl").write_text(json.dumps(script) + "\n")
-    (tmp_path / "icr.conf").write_text("fusion.mode = final_only\n")
-    run, iters, fused, sparse = (str(tmp_path / name) for name in ("run.trec", "iters", "fused.trec", "sparse.idx"))
-    config = ["--config", str(tmp_path / "icr.conf")]
-    assert main(["build-index", "--collection", str(tmp_path / "collection.tsv"), "--out", sparse, *config]) == 0
-    assert main(["infer", "--dataset", str(tmp_path / "test.jsonl"), "--sparse-index", sparse, "--mock-script",
-                 str(tmp_path / "script.jsonl"), "--out", run, "--per-query-dir", iters, *config]) == 0
-    assert main(["fuse", *sorted(str(p) for p in Path(iters).glob("iter_*.trec")), "--out", fused, *config]) == 0
+    script = [{"kind": "trajectory", "fingerprint": f"Q: {TOY_QUERY}", "response": trajectory}]
+    flags = _toy_flags(tmp_path, "fusion.mode = final_only\n", script)
+    run, iters, fused = (str(tmp_path / name) for name in ("run.trec", "iters", "fused.trec"))
+    assert main(["infer", *flags["dataset"], *flags["search"], "--out", run, "--per-query-dir", iters,
+                 *flags["config"]]) == 0
+    assert main(["fuse", *sorted(str(p) for p in Path(iters).glob("iter_*.trec")), "--out", fused,
+                 *flags["config"]]) == 0
     assert Path(run).read_text().split()[:3] == ["s1", "Q0", "p1"]
     assert Path(run).read_bytes() == Path(fused).read_bytes()
     capsys.readouterr()
@@ -412,32 +427,20 @@ def test_final_only_infer_and_fuse_agree_when_the_last_rewrite_finds_nothing(tmp
 
 def test_a_generation_holding_a_marker_uses_up_its_attempt(tmp_path, capsys):
     # serialized, "[Rewrite]" inside a clarification would split the pair
-    (tmp_path / "collection.tsv").write_text(
-        "p1\tsusan belbin produced the sitcom one foot in the grave and other shows\n"
-        "p2\tshe said anything else was available elsewhere\n"
-        "p3\tone foot equals twelve inches\n"
-    )
-    query, rewrite = "has she produced anything else?", "has susan belbin produced anything else?"
-    sample = {"sample_id": "s1", "history": [], "query": query, "gold_passage_ids": ["p1"]}
-    (tmp_path / "train.jsonl").write_text(json.dumps(sample) + "\n")
+    rewrite = "has susan belbin produced anything else?"
     marked, clean = "Who is meant by [Rewrite] here?", 'Who does "she" refer to?'
     script = [
-        {"kind": "clarify", "fingerprint": query, "attempt": 0, "response": marked},
-        {"kind": "rewrite", "fingerprint": f"{query}\n{marked}", "attempt": 0, "response": rewrite},
-        {"kind": "clarify", "fingerprint": query, "attempt": 1, "response": clean},
-        {"kind": "rewrite", "fingerprint": f"{query}\n{clean}", "attempt": 1, "response": rewrite},
+        {"kind": "clarify", "fingerprint": TOY_QUERY, "attempt": 0, "response": marked},
+        {"kind": "rewrite", "fingerprint": f"{TOY_QUERY}\n{marked}", "attempt": 0, "response": rewrite},
+        {"kind": "clarify", "fingerprint": TOY_QUERY, "attempt": 1, "response": clean},
+        {"kind": "rewrite", "fingerprint": f"{TOY_QUERY}\n{clean}", "attempt": 1, "response": rewrite},
     ]
-    (tmp_path / "script.jsonl").write_text("".join(json.dumps(entry) + "\n" for entry in script))
-    (tmp_path / "icr.conf").write_text("crdg.f_mode = sparse_only\ncrdg.max_iters = 1\n")
-    sparse, dcr, sft = (str(tmp_path / name) for name in ("sparse.idx", "dcr.jsonl", "sft.jsonl"))
-    config = ["--config", str(tmp_path / "icr.conf")]
-    dataset = ["--dataset", str(tmp_path / "train.jsonl")]
-    assert main(["build-index", "--collection", str(tmp_path / "collection.tsv"), "--out", sparse, *config]) == 0
-    assert main(["crdg", *dataset, "--sparse-index", sparse, "--mock-script", str(tmp_path / "script.jsonl"),
-                 "--out", dcr, *config]) == 0
+    flags = _toy_flags(tmp_path, "crdg.f_mode = sparse_only\ncrdg.max_iters = 1\n", script)
+    dcr, sft = str(tmp_path / "dcr.jsonl"), str(tmp_path / "sft.jsonl")
+    assert main(["crdg", *flags["dataset"], *flags["search"], "--out", dcr, *flags["config"]]) == 0
     steps = json.loads(Path(dcr).read_text())["steps"]
     assert [(step["clarification"], step["attempts"]) for step in steps] == [(clean, 2)]
-    assert main(["sftdata", "--crdg", dcr, *dataset, "--out", sft, *config]) == 0
+    assert main(["sftdata", "--crdg", dcr, *flags["dataset"], "--out", sft, *flags["config"]]) == 0
     capsys.readouterr()
 
 
