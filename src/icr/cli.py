@@ -151,7 +151,7 @@ def cmd_crdg(args, config: Config) -> tuple[list, list]:
     dataset_path, samples = _dataset(args, config.train)
     indexes = _load_indexes(args, config.crdg.f_mode)
     client = _make_client(args, config)
-    stats = build_crdg_dataset(samples, client, indexes, config.crdg, args.out, seed=args.seed)
+    stats = build_crdg_dataset(samples, client, indexes, config.crdg, args.out)
     print(f"trajectories written={stats.written} skipped={stats.skipped} errors={stats.errors}")
     return [dataset_path, args.sparse_index, args.dense_index, args.mock_script], [args.out]
 

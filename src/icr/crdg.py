@@ -21,11 +21,11 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .config import CrdgConfig
 from .corpus import CQRSample, _jsonl_line, _require, read_jsonl, replacing
-from .errors import DataError, EmptyResponse, MalformedRecord, ProviderError, ProviderUnavailable
+from .errors import DataError, MalformedRecord, ProviderError, ProviderUnavailable
 from .evaluation import Indexes, QualityScore, f_score, quality_from_dict
 from .genclient import generate_clarification, generate_rewrite, run_in_order
 
@@ -80,23 +80,16 @@ def generate_trajectory(
 
     A provider outage ends the trajectory with ``provider_failure`` and
     whatever accepted steps exist; empty generations consume resample
-    attempts like any other failed attempt. F is computed once per distinct
-    text: failed rounds and echoed rewrites re-score the same text often.
+    attempts like any other failed attempt.
     """
-
-    @functools.cache
-    def score(text: str) -> QualityScore:
-        return f_score(text, sample, indexes, config.f_mode)
-
+    score = _scorer(sample, indexes, config)
     f0 = score(sample.query)
     traj = Trajectory(sample.sample_id, sample.query, f0)
     failures = 0
     for _round in range(config.max_iters):
         best = traj.f_path()[-1]
         try:
-            step = _next_step(
-                client, sample, traj.final_rewrite(), score, lambda f: f > best, config.resample_budget
-            )
+            step = _next_step(client, sample, traj.final_rewrite(), config.resample_budget, score, lambda f: f > best)
         except ProviderUnavailable:
             traj.stop_reason = STOP_PROVIDER_FAILURE
             return traj
@@ -112,29 +105,37 @@ def generate_trajectory(
     return traj
 
 
-def _next_step(client, sample: CQRSample, current: str, score, accept, budget: int) -> TrajectoryStep | None:
+def _scorer(sample: CQRSample, indexes: Indexes, config: CrdgConfig) -> Callable[[str], QualityScore]:
+    """F of a text for one sample, computed once per distinct text: failed
+    rounds and echoed rewrites re-score the same text often."""
+    return functools.cache(lambda text: f_score(text, sample, indexes, config.f_mode))
+
+
+def _next_step(client, sample: CQRSample, current: str, budget: int, score=None, accept=None) -> TrajectoryStep | None:
     """One clarify-then-rewrite step from ``current``, resampled up to
-    ``budget`` times until ``accept`` holds for the rewrite's F; None when
-    no attempt is accepted.
+    ``budget`` times until ``accept`` holds for the rewrite's F under
+    ``score``; None when no attempt is accepted. Without ``score`` every
+    usable rewrite is accepted, and the step carries no F.
 
     An empty generation uses up its attempt, and so does one holding a
     marker, which the serialized trajectory could not tell from its own;
-    other errors propagate.
+    errors propagate.
     """
     for attempt in range(budget + 1):
-        try:
-            clarification = generate_clarification(client, current, attempt)
-            if _MARKER_RE.search(clarification):
-                continue
-            rewrite = generate_rewrite(client, sample.history, current, clarification, attempt)
-        except EmptyResponse:
+        clarification = generate_clarification(client, current, attempt)
+        if not _usable(clarification):
             continue
-        if _MARKER_RE.search(rewrite):
+        rewrite = generate_rewrite(client, sample.history, current, clarification, attempt)
+        if not _usable(rewrite):
             continue
-        quality = score(rewrite)
-        if accept(quality.f):
+        quality = score(rewrite) if score else None
+        if quality is None or accept(quality.f):
             return TrajectoryStep(clarification, rewrite, quality, attempt + 1)
     return None
+
+
+def _usable(generation: str) -> bool:
+    return bool(generation) and not _MARKER_RE.search(generation)
 
 
 def _format_pairs(pairs: Iterable[tuple[str, str]]) -> str:
@@ -272,7 +273,6 @@ def build_crdg_dataset(
     indexes: Indexes,
     config: CrdgConfig,
     out_path: str,
-    seed: int = 0,
 ) -> BuildStats:
     """Write one JSONL trajectory record per sample, in input order.
 
@@ -283,9 +283,8 @@ def build_crdg_dataset(
     where it stopped, and samples whose record is an error or a
     ``provider_failure`` trajectory run again. Samples run concurrently up
     to the client's ``max_in_flight``. With a deterministic client the
-    output is byte-reproducible for a fixed seed and config.
+    output is byte-reproducible for a fixed config.
     """
-    del seed  # recorded by the caller's manifest; the loop itself draws nothing
     stats = BuildStats()
     done = _resume(out_path)
     todo = []

@@ -105,6 +105,3 @@ class DimensionMismatch(ProviderError):
         self.expected = expected
         self.got = got
 
-
-class EmptyResponse(ProviderError):
-    pass

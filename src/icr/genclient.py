@@ -31,7 +31,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .corpus import Turn, _require, read_jsonl
-from .errors import EmptyResponse, MalformedRecord, MissingRequired, MissingScriptEntry, ProviderUnavailable
+from .errors import MalformedRecord, MissingRequired, MissingScriptEntry, ProviderUnavailable
 
 if TYPE_CHECKING:
     from .transport import Transport
@@ -356,33 +356,25 @@ def run_in_order(client, work: Callable, items: Iterable) -> Iterator:
 
 
 def generate_clarification(client, query: str, attempt: int = 0) -> str:
-    """Ask for one clarification question about a query."""
-    out = client.generate(
-        CLARIFY_KIND, clarify_fingerprint(query), render_clarify_prompt(query), attempt
-    )
-    out = out.strip()
-    if not out:
-        raise EmptyResponse("generator returned an empty clarification")
-    return out
+    """Ask for one clarification question about a query; the stripped
+    response, which may be empty."""
+    return client.generate(CLARIFY_KIND, clarify_fingerprint(query), render_clarify_prompt(query), attempt).strip()
 
 
 def generate_rewrite(
     client, history: Sequence[Turn], query: str, clarification: str, attempt: int = 0
 ) -> str:
-    """Rewrite the current query given a clarification and the conversation."""
-    out = client.generate(
+    """Rewrite the current query given a clarification and the conversation;
+    the stripped response, which may be empty."""
+    return client.generate(
         REWRITE_KIND,
         rewrite_fingerprint(query, clarification),
         render_rewrite_prompt(history, query, clarification),
         attempt,
-    )
-    out = out.strip()
-    if not out:
-        raise EmptyResponse("generator returned an empty rewrite")
-    return out
+    ).strip()
 
 
-def generate_trajectory_text(client, history: Sequence[Turn], query: str, attempt: int = 0) -> str:
+def generate_trajectory_text(client, history: Sequence[Turn], query: str) -> str:
     """One-shot full-trajectory generation for inference (raw, unvalidated)."""
     context = render_conversation(history, query)
-    return client.generate(TRAJECTORY_KIND, context, context, attempt)
+    return client.generate(TRAJECTORY_KIND, context, context, 0)

@@ -2,9 +2,12 @@
 
 The generator is asked once per sample for the full serialized trajectory
 (the trained model emits the whole chain); a step-wise mode drives the
-clarify/rewrite prompts round by round for tests and untrained endpoints.
-It ends at ``max_iters`` rounds, on a rewrite that echoes its input, or
-when a scripted generator has no next step.
+clarify/rewrite prompts round by round for tests and untrained endpoints,
+through the step that trajectory construction uses, with one attempt per
+round and every usable rewrite accepted. It ends at ``max_iters`` rounds,
+on a rewrite that echoes its input, on an empty or marker-holding
+generation, or when a scripted generator has no next step; the pairs
+gathered until then are kept.
 Each parsed rewrite is retrieved independently and the per-iteration runs
 are fused; when parsing yields no rewrites the original query is used as
 a fallback so every sample stays scoreable. Per-query runs are kept on
@@ -23,10 +26,10 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .config import InferenceConfig
 from .corpus import CQRSample, replacing
-from .crdg import _format_pairs, parse_trajectory
+from .crdg import _format_pairs, _next_step, parse_trajectory
 from .errors import MissingScriptEntry
 from .evaluation import Indexes
-from .genclient import generate_clarification, generate_rewrite, generate_trajectory_text, run_in_order
+from .genclient import generate_trajectory_text, run_in_order
 
 if TYPE_CHECKING:
     from .ranking import RankedList
@@ -57,14 +60,15 @@ def run_inference(sample: CQRSample, client, config: InferenceConfig) -> str:
     current = sample.query
     for _ in range(config.max_iters):
         try:
-            clarification = generate_clarification(client, current)
-            rewrite = generate_rewrite(client, sample.history, current, clarification)
+            step = _next_step(client, sample, current, 0)
         except MissingScriptEntry:  # a scripted generator has no next step
             break
-        pairs.append((clarification, rewrite))
-        if rewrite == current:
+        if step is None:
             break
-        current = rewrite
+        pairs.append((step.clarification, step.rewrite))
+        if step.rewrite == current:
+            break
+        current = step.rewrite
     return _format_pairs(pairs)
 
 

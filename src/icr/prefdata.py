@@ -19,16 +19,15 @@ yield no ut/id pairs; a transform that cannot be built returns None.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple, Sequence
 
 from .config import CrdgConfig
 from .corpus import CQRSample, _jsonl_line, replacing
-from .crdg import Trajectory, TrajectoryStep, _next_step, serialize_trajectory
+from .crdg import Trajectory, TrajectoryStep, _next_step, _scorer, serialize_trajectory
 from .errors import DataError, ProviderError
-from .evaluation import Indexes, QualityScore, f_score
+from .evaluation import Indexes
 from .genclient import render_conversation, run_in_order
 
 
@@ -66,17 +65,11 @@ def extend_redundantly(
     quality does not exceed the previous step's. F is computed once per
     distinct rewrite text.
     """
-
-    @functools.cache
-    def score(text: str) -> QualityScore:
-        return f_score(text, sample, indexes, config.f_mode)
-
+    score = _scorer(sample, indexes, config)
     steps = list(trajectory.steps)
     for _ in range(k):
         bound = steps[-1].f_score.f
-        step = _next_step(
-            client, sample, steps[-1].rewrite, score, lambda f: f <= bound, config.resample_budget
-        )
+        step = _next_step(client, sample, steps[-1].rewrite, config.resample_budget, score, lambda f: f <= bound)
         if step is None:
             return None
         steps.append(step)

@@ -160,7 +160,7 @@ def test_criterion_4_trajectory_control_flow(
         assert traj.stop_reason == "early_stop"
         assert mock.calls == 3 * 4 * 2  # 3 rounds x (B+1) attempts x 2 calls
 
-        # (d) byte-reproducible trajectory dataset under a fixed seed
+        # (d) byte-reproducible trajectory dataset
         samples = [tier_sample, CQRSample("s2", [], "kelpie", {"gold"})]
 
         def mock_factory():
@@ -171,7 +171,7 @@ def test_criterion_4_trajectory_control_flow(
         for out in (a, b):
             build_crdg_dataset(
                 samples, mock_factory(), Indexes(tier_sparse, tier_dense, tier_provider),
-                config, str(out), seed=13,
+                config, str(out),
             )
         assert a.read_bytes() == b.read_bytes()
 

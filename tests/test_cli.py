@@ -390,17 +390,19 @@ def test_an_empty_last_iteration_is_not_in_the_per_query_files(tmp_path, capsys)
 TOY_QUERY = "has she produced anything else?"
 
 
-def _toy_flags(tmp_path, config: str, script: list[dict]) -> dict[str, list[str]]:
-    """The README walkthrough's collection, indexed, and its one sample, with
-    ``script`` as the mock script and ``config`` as the config file; returns
-    the dataset, config, and index and generator flags."""
+def _toy_flags(tmp_path, config: str, script: list[dict], queries=(TOY_QUERY,)) -> dict[str, list[str]]:
+    """The README walkthrough's collection, indexed, and one sample per
+    query (s1, s2, ...), with ``script`` as the mock script and ``config``
+    as the config file; returns the dataset, config, and index and
+    generator flags."""
     (tmp_path / "collection.tsv").write_text(
         "p1\tsusan belbin produced the sitcom one foot in the grave and other shows\n"
         "p2\tshe said anything else was available elsewhere\n"
         "p3\tone foot equals twelve inches\n"
     )
-    sample = {"sample_id": "s1", "history": [], "query": TOY_QUERY, "gold_passage_ids": ["p1"]}
-    (tmp_path / "data.jsonl").write_text(json.dumps(sample) + "\n")
+    samples = [{"sample_id": f"s{i}", "history": [], "query": query, "gold_passage_ids": ["p1"]}
+               for i, query in enumerate(queries, 1)]
+    (tmp_path / "data.jsonl").write_text("".join(json.dumps(sample) + "\n" for sample in samples))
     (tmp_path / "script.jsonl").write_text("".join(json.dumps(entry) + "\n" for entry in script))
     (tmp_path / "icr.conf").write_text(config)
     flags = {"dataset": ["--dataset", str(tmp_path / "data.jsonl")], "config": ["--config", str(tmp_path / "icr.conf")]}
@@ -441,6 +443,36 @@ def test_a_generation_holding_a_marker_uses_up_its_attempt(tmp_path, capsys):
     steps = json.loads(Path(dcr).read_text())["steps"]
     assert [(step["clarification"], step["attempts"]) for step in steps] == [(clean, 2)]
     assert main(["sftdata", "--crdg", dcr, *flags["dataset"], "--out", sft, *flags["config"]]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("clarification, rewrite", [
+    ("   ", "did susan belbin make anything else?"),
+    ("Who is she?", "did [Clarification] she make anything else?"),
+], ids=["blank-clarification", "marked-rewrite"])
+def test_a_refused_step_wise_generation_falls_back_and_keeps_the_run(tmp_path, capsys, clarification, rewrite):
+    # s1's chain is usable; s2's first generation is refused, so s2 falls
+    # back to its own query, which matches p2 best
+    usable = 'Who does "she" refer to?'
+    second = "did she make anything else?"
+    script = [
+        {"kind": "clarify", "fingerprint": TOY_QUERY, "response": usable},
+        {"kind": "rewrite", "fingerprint": f"{TOY_QUERY}\n{usable}", "response": "has susan belbin produced anything else?"},
+        {"kind": "clarify", "fingerprint": second, "response": clarification},
+        {"kind": "rewrite", "fingerprint": f"{second}\n{clarification.strip()}", "response": rewrite},
+    ]
+    flags = _toy_flags(tmp_path, "", script, queries=(TOY_QUERY, second))
+    run, latency = str(tmp_path / "run.trec"), str(tmp_path / "latency.json")
+    assert main(["infer", "--step-wise", *flags["dataset"], *flags["search"], "--out", run]) == 0
+    top = {}
+    for line in Path(run).read_text().splitlines():
+        qid, _, docid, rank = line.split()[:4]
+        if rank == "1":
+            top[qid] = docid
+    assert top == {"s1": "p1", "s2": "p2"}
+    assert main(["latency", "--step-wise", *flags["dataset"], "--mock-script", flags["search"][-1],
+                 "--out", latency]) == 0
+    assert sorted(json.loads(Path(latency).read_text())["per_sample"]) == ["s1", "s2"]
     capsys.readouterr()
 
 

@@ -134,7 +134,7 @@ def test_resample_accepts_on_second_attempt(tier_sparse, tier_dense, tier_provid
 def test_empty_response_consumes_attempt(tier_sparse, tier_dense, tier_provider, tier_sample):
     q = tier_sample.query
     mock = ScriptedMock()
-    mock.add("clarify", clarify_fingerprint(q), "   ", 0)  # blank -> EmptyResponse
+    mock.add("clarify", clarify_fingerprint(q), "   ", 0)  # blank -> refused
     mock.add("clarify", clarify_fingerprint(q), "extend?", 1)
     mock.add("rewrite", rewrite_fingerprint(q, "extend?"), tier_query(2), 1)
     mock = plateau_script(tier_query(2), attempts=2, mock=mock)
@@ -387,7 +387,7 @@ def test_build_dataset_byte_reproducible(
     for out in (a, b):
         build_crdg_dataset(
             three_samples, _three_sample_mock(), Indexes(tier_sparse, tier_dense, tier_provider),
-            CrdgConfig(), str(out), seed=7,
+            CrdgConfig(), str(out),
         )
     assert a.read_bytes() == b.read_bytes()
 

@@ -95,6 +95,26 @@ def test_step_wise_stops_when_script_ends(fig_sample):
     assert extract_queries(text) == ["expanded query"]
 
 
+@pytest.mark.parametrize("clarification, rewrite", [
+    ("Who is meant by [Rewrite] here?", "what else did susan belbin make?"),
+    ("Who is meant here?", "what else did [Clarification] she make?"),
+    ("   ", "what else did susan belbin make?"),
+    ("Who is meant here?", " \n "),
+], ids=["marked-clarification", "marked-rewrite", "blank-clarification", "blank-rewrite"])
+def test_step_wise_ends_on_an_empty_or_marked_generation(fig_sample, clarification, rewrite):
+    # the second round's generation is refused, so the chain keeps the first
+    # round's pair; a marker kept in the text would split the pairs wrongly
+    q = fig_sample.query
+    mock = ScriptedMock()
+    mock.add("clarify", clarify_fingerprint(q), "which one?")
+    mock.add("rewrite", rewrite_fingerprint(q, "which one?"), "what about susan belbin")
+    mock.add("clarify", clarify_fingerprint("what about susan belbin"), clarification)
+    mock.add("rewrite", rewrite_fingerprint("what about susan belbin", clarification.strip()), rewrite)
+    text = run_inference(fig_sample, mock, InferenceConfig(max_iters=10, step_wise=True))
+    assert text == "[Clarification] which one? [Rewrite] what about susan belbin"
+    assert extract_queries(text) == ["what about susan belbin"]
+
+
 def test_extract_queries_cases():
     assert extract_queries(fig_trajectory_text()) == FIG_QUERIES
     assert extract_queries("total garbage") == []

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from icr import prefdata
+from icr import crdg
 from icr.corpus import CQRSample
 from icr.crdg import CrdgConfig, Trajectory, TrajectoryStep, serialize_trajectory
 from icr.evaluation import Indexes, MetricSet, QualityScore, f_score
@@ -95,7 +95,7 @@ def test_overthinking_scores_each_rewrite_once(
         calls[(sample.sample_id, text)] += 1
         return f_score(text, sample, *args)
 
-    monkeypatch.setattr(prefdata, "f_score", counted)
+    monkeypatch.setattr(crdg, "f_score", counted)
     chosen = _trajectory(1, last_rewrite=tier_query(3), last_f=tier_quality(3))
     mock = ScriptedMock()
     for attempt in range(4):
