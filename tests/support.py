@@ -1,6 +1,6 @@
 """Test-only helpers: file writers for fixtures (the inverse of the
-``icr.corpus`` loaders and of ``ScriptedMock.from_jsonl``) and
-``make_overthinking``."""
+``icr.corpus`` loaders and of ``ScriptedMock.from_jsonl``),
+``make_overthinking`` and ``csr_postings``."""
 
 from __future__ import annotations
 
@@ -8,11 +8,14 @@ import json
 import random
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from icr.corpus import CQRSample, Passage, Qrels, _infer_format
 from icr.crdg import CrdgConfig, Trajectory
 from icr.evaluation import Indexes
 from icr.genclient import ScriptedMock
 from icr.prefdata import _redundant_steps, extend_redundantly
+from icr.sparse_index import SparseIndex
 
 
 def write_collection(passages: Iterable[Passage], path: str, format: str | None = None) -> None:
@@ -70,3 +73,10 @@ def make_overthinking(
         return None
     k = _redundant_steps(multi, rng or random.Random())
     return extend_redundantly(trajectory, sample, client, indexes, config, k)
+
+
+def csr_postings(index: SparseIndex) -> tuple[np.ndarray, np.ndarray]:
+    """A sparse index's ordinals and tfs as flat CSR arrays, row after row."""
+    rows = [index.postings(row) for row in range(len(index.terms))]
+    empty = np.zeros(0, dtype=np.int32)
+    return np.concatenate([r[0] for r in rows] or [empty]), np.concatenate([r[1] for r in rows] or [empty])

@@ -5,11 +5,18 @@ import io
 import json
 import math
 import random
+import sys
+import threading
 import zipfile
+import zlib
+from bisect import bisect_right
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import icr.sparse_index as sparse_index
+from icr.cli import main
 from icr.config import BM25_PROFILES, Bm25Params
 from icr.corpus import Passage
 from icr.errors import DataError, EmptyCollection
@@ -24,15 +31,20 @@ from icr.sparse_index import (
     tokenize,
 )
 
+from .conftest import build_cli_workspace
 from .oracles import oracle_bm25_topk, oracle_sparse_postings
+from .support import csr_postings
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
 
 
 def _postings(index) -> dict[str, list[tuple[int, int]]]:
-    """The CSR arrays read back as term -> [(ordinal, tf)]."""
+    """The CSR rows read back as term -> [(ordinal, tf)]."""
     out = {}
     for term, row in index.terms.items():
-        lo, hi = index.offsets[row], index.offsets[row + 1]
-        out[term] = list(zip(index.ords[lo:hi].tolist(), index.tfs[lo:hi].tolist()))
+        ords, tfs = index.postings(row)
+        out[term] = list(zip(ords.tolist(), tfs.tolist()))
     return out
 
 
@@ -49,7 +61,7 @@ def test_build_counts_by_hand():
     assert index.avg_doc_length == 1.5
     assert _postings(index) == {"a": [(0, 1), (1, 1)], "b": [(0, 1)]}
     assert index.offsets.tolist() == [0, 2, 3]
-    assert index.ords.dtype == np.int32 and index.tfs.dtype == np.int32
+    assert all(array.dtype == np.int32 for row in (0, 1) for array in index.postings(row))
     assert index.doc_lengths.tolist() == [2, 1]
     assert index.ids == ["p1", "p2"]
 
@@ -155,9 +167,10 @@ def test_rebuild_is_byte_identical(tmp_path):
     with zipfile.ZipFile(a) as zf:
         members = zf.infolist()
     assert [m.filename for m in members] == [
-        "meta.npy", "offsets.npy", "ord_gaps.npy", "tfs.npy", "doc_lengths.npy", "id_rank.npy",
+        "meta.npy", "offsets.npy", "doc_lengths.npy", "id_rank.npy", "blocks.npy", "postings.npy",
     ]
     assert {m.date_time for m in members} == {(1980, 1, 1, 0, 0, 0)}
+    assert [m.compress_type for m in members] == [zipfile.ZIP_DEFLATED] * 5 + [zipfile.ZIP_STORED]
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -176,7 +189,7 @@ def test_save_load_roundtrip(tmp_path):
         assert _postings(loaded) == _postings(index)
         assert loaded.doc_lengths.tolist() == index.doc_lengths.tolist()
         assert loaded.ids == index.ids
-        for name in ("offsets", "ords", "tfs", "doc_lengths", "id_rank", "length_norm"):
+        for name in ("offsets", "doc_lengths", "id_rank", "length_norm"):
             got, want = getattr(loaded, name), getattr(index, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert loaded.avg_doc_length == index.avg_doc_length
@@ -246,8 +259,13 @@ def _assert_equals_oracle(texts: list[str]) -> None:
     index = build_sparse_index([Passage(f"p{i}", t) for i, t in enumerate(texts)])
     terms, offsets, ords, tfs, doc_lengths = oracle_sparse_postings(texts)
     assert index.terms == terms and list(index.terms) == list(terms)
-    for name, want in (("offsets", offsets), ("ords", ords), ("tfs", tfs), ("doc_lengths", doc_lengths)):
-        got = getattr(index, name)
+    got_ords, got_tfs = csr_postings(index)
+    for name, got, want in (
+        ("offsets", index.offsets, offsets),
+        ("ords", got_ords, ords),
+        ("tfs", got_tfs, tfs),
+        ("doc_lengths", index.doc_lengths, doc_lengths),
+    ):
         assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
@@ -316,9 +334,9 @@ def test_version_2_artifact_is_rejected(tmp_path):
 @pytest.mark.parametrize(
     "name, array",
     [
-        ("ord_gaps", np.array([0, 0], dtype=np.uint8)),  # flat, as in version 2
-        ("tfs", np.ones((3, 2), dtype=np.uint8)),  # three planes
-        ("tfs", np.ones((2, 2), dtype=np.uint16)),  # planes of a wider dtype
+        ("blocks", np.array([0, 0], dtype=np.uint8)),  # flat, as in version 2
+        ("doc_lengths", np.ones((3, 2), dtype=np.uint8)),  # three planes
+        ("doc_lengths", np.ones((2, 2), dtype=np.uint16)),  # planes of a wider dtype
         ("offsets", np.ones((1, 2, 2), dtype=np.uint8)),
         ("meta", None),  # the version 3 header, flat
     ],
@@ -348,7 +366,7 @@ def test_version_3_artifact_is_rejected(tmp_path):
     _write_members(path, members)
     with pytest.raises(DataError) as err:
         load_sparse_index(str(path))
-    assert "version 3" in str(err.value) and "re-run build-index to write version 4" in str(err.value)
+    assert "version 3" in str(err.value) and "re-run build-index to write version 5" in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -402,4 +420,151 @@ def test_a_malformed_meta_member_is_a_data_error_naming_the_index(tmp_path, edit
     _write_members(bad, members)
     with pytest.raises(DataError) as err:
         load_sparse_index(str(bad))
+    assert str(err.value).startswith(f"{bad}: ")
+
+
+def _v4_archive(path, texts: list[str]) -> None:
+    """A version 4 index: whole CSR arrays, with per-row delta-coded ordinals."""
+    terms, offsets, ords, tfs, doc_lengths = oracle_sparse_postings(texts)
+    gaps = np.diff(ords, prepend=0)
+    gaps[offsets[:-1]] = ords[offsets[:-1]]
+    meta = {"format": "icr-sparse-index", "version": 4, "params": {"k1": 0.9, "b": 0.4},
+            "ids": [f"p{i}" for i in range(len(texts))], "terms": list(terms)}
+    members = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), "offsets": offsets,
+               "ord_gaps": gaps, "tfs": tfs, "doc_lengths": doc_lengths, "id_rank": np.arange(len(texts))}
+    _write_members(path, {name: _to_planes(values.astype(np.uint8)) for name, values in members.items()})
+
+
+def test_version_4_artifact_is_rejected(tmp_path):
+    path = tmp_path / "v4.idx"
+    _v4_archive(path, ["a b", "b"])
+    with pytest.raises(DataError) as err:
+        load_sparse_index(str(path))
+    assert "version 4" in str(err.value) and "re-run build-index to write version 5" in str(err.value)
+
+
+_WORDS = ["a", "b", "c", "d", "e"]
+
+
+def test_saved_and_loaded_postings_and_searches_equal_the_built_index(tmp_path_factory, monkeypatch):
+    # a five-word vocabulary gives rows longer than a block and many tied
+    # scores; the example has a row longer than a default block
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(
+        st.lists(st.lists(st.sampled_from(_WORDS), max_size=8).map(" ".join), min_size=1, max_size=40),
+        st.sampled_from([1, 2, 3, sparse_index.BLOCK_POSTINGS]),
+        st.lists(st.lists(st.sampled_from(_WORDS + ["zzz"]), min_size=1, max_size=4).map(" ".join), max_size=6),
+    )
+    @hypothesis.example([f"a {_WORDS[i % 5]}" for i in range(5000)], sparse_index.BLOCK_POSTINGS, ["a", "b c a"])
+    def check(texts, block, queries):
+        monkeypatch.setattr(sparse_index, "BLOCK_POSTINGS", block)
+        built = build_sparse_index([Passage(f"p{i}", t) for i, t in enumerate(texts + texts)])
+        path = tmp_path_factory.mktemp("idx") / "sparse.idx"
+        save_sparse_index(built, str(path))
+        loaded = load_sparse_index(str(path))
+        assert loaded.blocks.first_rows == built.blocks.first_rows
+        again = path.with_name("again.idx")
+        save_sparse_index(loaded, str(again))  # decodes every block
+        assert again.read_bytes() == path.read_bytes()
+        loaded = load_sparse_index(str(path))
+        for row in built.terms.values():
+            for got, want in zip(loaded.postings(row), built.postings(row)):
+                assert got.dtype == want.dtype == np.int32 and np.array_equal(got, want)
+        for query in queries + list(built.terms):
+            for k in (1, 3, len(built.ids)):
+                # scores compare bit for bit
+                assert search_sparse(loaded, query, k).entries == search_sparse(built, query, k).entries
+
+    check()
+
+
+def test_a_load_decodes_no_block_and_a_search_only_the_blocks_of_its_terms(tmp_path, monkeypatch):
+    monkeypatch.setattr(sparse_index, "BLOCK_POSTINGS", 2)
+    path = tmp_path / "sparse.idx"
+    save_sparse_index(build_sparse_index([Passage(f"p{i}", f"t{i % 5} u{i % 3} v{i}") for i in range(30)]), str(path))
+    index = load_sparse_index(str(path))
+    assert index.blocks.decoded == {}
+    search_sparse(index, "t1 v7 nothing", 5)
+    first_rows = index.blocks.first_rows
+    blocks = {bisect_right(first_rows, index.terms[term]) - 1 for term in ("t1", "v7")}
+    assert len(blocks) == 2 and len(first_rows) > 10
+    assert set(index.blocks.decoded) == blocks
+
+
+def test_four_threads_searching_a_fresh_load_give_the_serial_lists(tmp_path, monkeypatch):
+    monkeypatch.setattr(sparse_index, "BLOCK_POSTINGS", 3)
+    rng = random.Random(11)
+    vocab = [f"t{i}" for i in range(30)]
+    built = build_sparse_index([Passage(f"p{i}", " ".join(rng.choices(vocab, k=6))) for i in range(300)])
+    path = tmp_path / "sparse.idx"
+    save_sparse_index(built, str(path))
+    queries = [" ".join(rng.choices(vocab, k=3)) for _ in range(60)]
+    serial = [search_sparse(built, q, 10).entries for q in queries]
+    loaded = load_sparse_index(str(path))
+    start = threading.Barrier(4)
+
+    def search_all(shift: int) -> list:
+        start.wait(timeout=10)
+        order = list(range(shift, len(queries))) + list(range(shift))
+        got = {i: search_sparse(loaded, queries[i], 10).entries for i in order}
+        return [got[i] for i in range(len(queries))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(search_all, shift) for shift in (0, 15, 30, 45)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [serial] * 4
+    assert len(loaded.blocks.decoded) == len(loaded.blocks.first_rows) - 1
+
+
+def _member_data(path, name: str) -> tuple[int, int]:
+    """Where a stored member's bytes start in the archive, and their count."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(f"{name}.npy")
+    with open(path, "rb") as fh:
+        fh.seek(info.header_offset + 26)
+        name_len, extra_len = int.from_bytes(fh.read(2), "little"), int.from_bytes(fh.read(2), "little")
+    return info.header_offset + 30 + name_len + extra_len, info.file_size
+
+
+def test_a_flipped_byte_in_the_postings_fails_the_load_and_infer_exits_2(tmp_path, capsys):
+    ws = build_cli_workspace(tmp_path / "data")
+    path = tmp_path / "sparse.idx"
+    assert main(["build-index", "--collection", ws["collection"], "--out", str(path)]) == 0
+    start, size = _member_data(path, "postings")
+    data = bytearray(path.read_bytes())
+    data[start + size - 5] ^= 0x01  # inside the last block's stream
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataError) as err:
+        load_sparse_index(str(path))
+    assert str(err.value).startswith(f"{path}: ")
+    capsys.readouterr()
+    assert main(["infer", "--dataset", ws["dataset"], "--sparse-index", str(path), "--mock-script", ws["script"],
+                 "--out", str(tmp_path / "run.trec")]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [None, bytes([0, 0, 0, 1, 1, 1, 9]), bytes([0, 0, 5, 1, 1, 1])],
+    ids=["not-zlib", "wrong-length", "ordinal-out-of-range"],
+)
+def test_a_damaged_block_that_passes_the_crc_is_a_data_error_naming_the_index(tmp_path, raw):
+    # p1 "a b", p2 "b": rows a -> [0] and b -> [0, 1], so one block of three
+    # postings, one byte per gap and per tf
+    good = tmp_path / "good.idx"
+    save_sparse_index(build_sparse_index([Passage("p1", "a b"), Passage("p2", "b")]), str(good))
+    members = _members(good)
+    stream = b"not a zlib stream" if raw is None else zlib.compress(raw)
+    members["postings"] = np.frombuffer(stream, dtype=np.uint8)
+    members["blocks"] = _to_planes(np.array([0, 2, 0, len(stream)], dtype=np.uint8))
+    bad = tmp_path / "bad.idx"
+    _write_members(bad, members)
+    index = load_sparse_index(str(bad))
+    with pytest.raises(DataError) as err:
+        search_sparse(index, "b", 2)
     assert str(err.value).startswith(f"{bad}: ")
