@@ -49,13 +49,13 @@ _ASCII_TOKEN_TABLE = bytes(ord(c.lower()) if c.isalnum() else 0x20 for c in map(
 INDEX_FORMAT = "icr-sparse-index"
 INDEX_VERSION = 5
 
-# Archive members in write order. All but ``postings`` are .npy arrays of
-# byte planes (see ``_to_planes``) deflated at level 1: ``meta`` holds the
-# JSON header (format, version, params, ids, terms) as UTF-8 bytes,
-# ``id_rank`` the ordinal -> id rank map, so a load does not sort the ids,
-# and ``blocks`` the block table. ``postings`` is a flat uint8 array of the
-# blocks' zlib streams, stored, so a load inflates none of them.
-_MEMBERS = ("meta", "offsets", "doc_lengths", "id_rank", "blocks", "postings")
+# Archive members, in write order: meta, offsets, doc_lengths, id_rank,
+# postings and blocks. All but ``postings`` are .npy arrays of byte planes
+# (see ``_to_planes``) deflated at level 1: ``meta`` holds the JSON header
+# (format, version, params, ids, terms) as UTF-8 bytes, ``id_rank`` the
+# ordinal -> id rank map, so a load does not sort the ids, and ``blocks``
+# the block table. ``postings`` is a flat uint8 array of the blocks' zlib
+# streams, stored, so a load inflates none of them.
 # A block closes once it holds at least this many postings.
 BLOCK_POSTINGS = 4096
 _FIXED_TIME = (1980, 1, 1, 0, 0, 0)
@@ -303,19 +303,20 @@ def save_sparse_index(index: SparseIndex, path: str) -> None:
         "ids": index.ids,
         "terms": list(index.terms),
     }
+    header = {
+        "meta": np.frombuffer(json.dumps(meta, ensure_ascii=False).encode("utf-8"), dtype=np.uint8),
+        "offsets": _narrow(index.offsets),
+        "doc_lengths": _narrow(index.doc_lengths),
+        "id_rank": _narrow(index.id_rank),
+    }
     with replacing(path) as temp, zipfile.ZipFile(temp, "w") as zf:
+        for name, values in header.items():
+            _write_member(zf, name, _to_planes(values), zipfile.ZIP_DEFLATED)
         streams = [_encode(index, block) for block in range(len(index.blocks.first_rows) - 1)]
-        bounds = np.cumsum([0] + [len(stream) for stream in streams])
-        arrays = {
-            "meta": np.frombuffer(json.dumps(meta, ensure_ascii=False).encode("utf-8"), dtype=np.uint8),
-            "offsets": _narrow(index.offsets),
-            "doc_lengths": _narrow(index.doc_lengths),
-            "id_rank": _narrow(index.id_rank),
-            "blocks": _narrow(np.concatenate([index.blocks.first_rows, bounds])),
-        }
-        for name in _MEMBERS[:-1]:
-            _write_member(zf, name, _to_planes(arrays[name]), zipfile.ZIP_DEFLATED)
         _write_member(zf, "postings", np.frombuffer(b"".join(streams), dtype=np.uint8), zipfile.ZIP_STORED)
+        bounds = np.cumsum([0] + [len(stream) for stream in streams])
+        table = _narrow(np.concatenate([index.blocks.first_rows, bounds]))
+        _write_member(zf, "blocks", _to_planes(table), zipfile.ZIP_DEFLATED)
 
 
 def _read_member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
@@ -350,10 +351,11 @@ def load_sparse_index(path: str) -> SparseIndex:
                     f"re-run build-index to write version {INDEX_VERSION}"
                 )
             _from_planes(path, "meta", meta_planes)
-            offsets, doc_lengths, id_rank, table = (
-                _from_planes(path, name, _read_member(zf, name)) for name in _MEMBERS[1:-1]
+            offsets, doc_lengths, id_rank = (
+                _from_planes(path, name, _read_member(zf, name)) for name in ("offsets", "doc_lengths", "id_rank")
             )
             streams = _read_member(zf, "postings")
+            table = _from_planes(path, "blocks", _read_member(zf, "blocks"))
     except (KeyError, ValueError, zipfile.BadZipFile) as e:
         raise DataError(f"{path}: not a sparse index artifact ({e})") from e
     if streams.dtype != np.uint8 or streams.ndim != 1:
