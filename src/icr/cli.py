@@ -134,13 +134,12 @@ def cmd_build_index(args, config: Config) -> tuple[list, list]:
 
 
 def cmd_embed_index(args, config: Config) -> tuple[list, list]:
-    from .dense_index import build_dense_index, save_dense_index
+    from .dense_index import build_dense_index
 
     collection_path = _require_path(args.collection or config.collection, "--collection")
     fmt = args.format or config.collection_format
     provider = _make_provider(args, config)
-    index = build_dense_index(load_collection(collection_path, fmt), provider)
-    save_dense_index(index, args.out)
+    index = build_dense_index(load_collection(collection_path, fmt), provider, path=args.out)
     print(f"embedded {index.doc_count} passages (dim {index.dim}) -> {args.out}")
     return [collection_path], [args.out]
 

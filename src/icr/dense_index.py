@@ -9,13 +9,15 @@ contract (``POST {"texts": [...]} -> {"vectors": [[...], ...]}``).
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import time
 import zlib
-from dataclasses import dataclass
-from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Protocol
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field
+from itertools import chain, islice
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Protocol
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .errors import (
     ProviderUnavailable,
 )
 from .genclient import _Endpoint
-from .ranking import RankedList, id_ranks, stored_id_ranks, top_k
+from .ranking import RankedList, by_rank, has_id, id_ranks, stored_id_ranks, top_k
 from .sparse_index import tokenize
 
 if TYPE_CHECKING:
@@ -138,52 +140,73 @@ def embed(provider: EmbeddingProvider, text: str, role: str | None = None) -> np
 class DenseIndex:
     vectors: np.ndarray  # doc_count x dim; read-only and file-backed when loaded
     ids: list[str]
-    ordinals: dict[str, int]
     provider_name: str
     dim: int
     id_rank: np.ndarray | None = None  # ordinal -> rank of its id; None computes it
+    by_rank: np.ndarray = field(init=False, repr=False)  # the ordinals in id order
 
     def __post_init__(self) -> None:
         if self.id_rank is None:
             self.id_rank = id_ranks(self.ids)
+        self.by_rank = by_rank(self.id_rank)
 
     @property
     def doc_count(self) -> int:
         return len(self.ids)
 
     def __contains__(self, passage_id: str) -> bool:
-        return passage_id in self.ordinals
+        return has_id(self.ids, self.by_rank, passage_id)
 
 
 def build_dense_index(
     collection: Iterable[Passage],
     provider: EmbeddingProvider,
     batch_size: int = 64,
+    path: str | None = None,
 ) -> DenseIndex:
-    """Embed every passage in collection order.
+    """Embed every passage in collection order, ``batch_size`` per call.
+
+    Without ``path`` the vectors are kept in memory. With it, the index is
+    saved there as ``save_dense_index`` saves it, each batch written as it
+    is embedded, so neither the collection nor the vectors are held; the
+    returned index maps the saved vectors.
 
     A provider outage mid-build raises ProviderUnavailable mentioning how
-    many passages were embedded before the failure.
+    many passages were embedded before the failure, and leaves nothing at
+    ``path``.
     """
-    passages = list(collection)
-    ordinals: dict[str, int] = {}
-    for passage in passages:
-        if passage.id in ordinals:
-            raise DuplicateId(passage.id)
-        ordinals[passage.id] = len(ordinals)
-    if not passages:
-        raise EmptyCollection("cannot build an index over an empty collection")
-    vectors = np.empty((len(passages), provider.dim), dtype=np.float64)
-    for lo in range(0, len(passages), batch_size):
-        batch = [passage.text for passage in passages[lo : lo + batch_size]]
-        try:
-            chunk = provider.embed_batch(batch, role="passage")
-        except ProviderUnavailable as e:
-            raise ProviderUnavailable(f"{e} (embedded {lo} passages before failure)") from e
-        if chunk.shape != (len(batch), provider.dim):
-            raise DimensionMismatch(provider.dim, int(chunk.shape[-1]))
-        vectors[lo : lo + len(batch)] = chunk
-    return DenseIndex(vectors, list(ordinals), ordinals, provider.name, provider.dim)
+    ids: dict[str, None] = {}  # an insertion-ordered set
+    passages = iter(collection)
+    with nullcontext(io.BytesIO()) if path is None else _vectors_file(path) as out:
+        header = _write_header(out, 0, provider.dim)
+        while batch := list(islice(passages, batch_size)):
+            for passage in batch:
+                if passage.id in ids:
+                    raise DuplicateId(passage.id)
+                ids[passage.id] = None
+            try:
+                chunk = provider.embed_batch([passage.text for passage in batch], role="passage")
+            except ProviderUnavailable as e:
+                raise ProviderUnavailable(f"{e} (embedded {len(ids) - len(batch)} passages before failure)") from e
+            if len(chunk) != len(batch):
+                raise ProviderUnavailable(f"provider returned {len(chunk)} vectors for {len(batch)} texts")
+            if chunk.shape != (len(batch), provider.dim):
+                raise DimensionMismatch(provider.dim, int(chunk.shape[-1]))
+            out.write(np.ascontiguousarray(chunk, dtype="<f8").data)
+        if not ids:
+            raise EmptyCollection("cannot build an index over an empty collection")
+        out.seek(0)
+        # numpy pads the header so that any row count fits in place of the 0
+        if _write_header(out, len(ids), provider.dim) != header:
+            raise RuntimeError("numpy's .npy header changed length with the row count")
+    if path is None:
+        vectors = np.frombuffer(out.getbuffer(), dtype=np.float64, offset=header).reshape(len(ids), provider.dim)
+    else:
+        vectors = np.load(os.path.join(path, "vectors.npy"), mmap_mode="r")
+    index = DenseIndex(vectors, list(ids), provider.name, provider.dim)
+    if path is not None:
+        _write_tables(index, path)
+    return index
 
 
 def search_dense(
@@ -205,18 +228,38 @@ def search_dense(
     return top_k(tag if tag is not None else query, index.vectors @ qv, index.ids, index.id_rank, k)
 
 
-def save_dense_index(index: DenseIndex, path: str) -> None:
-    """Persist as a directory: meta.json (version header), vectors.npy and
-    id_rank.npy (the id ranks, narrowed, so a load does not sort the ids).
+def _write_header(fh: BinaryIO, rows: int, dim: int) -> int:
+    """Write ``np.save``'s header for a ``rows`` x ``dim`` float64 array;
+    returns its length."""
+    start = fh.tell()
+    np.lib.format.write_array_header_1_0(fh, {"descr": "<f8", "fortran_order": False, "shape": (rows, dim)})
+    return fh.tell() - start
 
-    A directory holding any other entry is refused, before anything is
-    written, since a manifest's digest of the index covers the whole
-    directory.
-    """
+
+@contextmanager
+def _vectors_file(path: str) -> Iterator[BinaryIO]:
+    """Yield the open temporary that becomes ``path``'s vectors.npy when
+    the block succeeds. A directory holding any entry other than an index
+    file is refused, before anything is written, since a manifest's digest
+    of the index covers the whole directory; one made here is removed
+    again if the block fails."""
+    made = not os.path.isdir(path)
     os.makedirs(path, exist_ok=True)
-    foreign = sorted(set(os.listdir(path)) - {"meta.json", "id_rank.npy", "vectors.npy"})
-    if foreign:
-        raise DataError(f"{path}: {foreign[0]!r} is not a dense index file; remove it or save elsewhere")
+    try:
+        foreign = sorted(set(os.listdir(path)) - {"meta.json", "id_rank.npy", "vectors.npy"})
+        if foreign:
+            raise DataError(f"{path}: {foreign[0]!r} is not a dense index file; remove it or save elsewhere")
+        # a process that maps the old vectors keeps reading them, not a cut file
+        with replacing(os.path.join(path, "vectors.npy")) as temp, open(temp, "wb") as fh:
+            yield fh
+    except BaseException:
+        if made:
+            os.rmdir(path)
+        raise
+
+
+def _write_tables(index: DenseIndex, path: str) -> None:
+    """Write ``path``'s meta.json and id_rank.npy."""
     meta = {
         "format": DENSE_FORMAT,
         "version": DENSE_VERSION,
@@ -229,9 +272,15 @@ def save_dense_index(index: DenseIndex, path: str) -> None:
         fh.write(json.dumps(meta, ensure_ascii=False, sort_keys=True, separators=(",", ":")))
     with replacing(os.path.join(path, "id_rank.npy")) as temp, open(temp, "wb") as fh:
         np.save(fh, index.id_rank.astype(np.min_scalar_type(index.doc_count)))
-    # a process that maps the old vectors keeps reading them, not a cut file
-    with replacing(os.path.join(path, "vectors.npy")) as temp, open(temp, "wb") as fh:
+
+
+def save_dense_index(index: DenseIndex, path: str) -> None:
+    """Persist as a directory: vectors.npy, id_rank.npy (the id ranks,
+    narrowed, so a load does not sort the ids) and meta.json (version
+    header). A directory holding any other entry is refused."""
+    with _vectors_file(path) as fh:
         np.save(fh, index.vectors)
+    _write_tables(index, path)
 
 
 def load_dense_index(path: str) -> DenseIndex:
@@ -252,7 +301,6 @@ def load_dense_index(path: str) -> DenseIndex:
     ids, dim, provider = meta.get("ids"), meta.get("dim"), meta.get("provider")
     if not isinstance(ids, list) or type(dim) is not int or not isinstance(provider, str):
         raise DataError(f"{path}: dense index meta.json needs a list of ids, an integer dim and a provider name")
-    ids = [str(i) for i in ids]
     try:
         vectors = np.load(os.path.join(path, "vectors.npy"), mmap_mode="r")
         id_rank = np.load(os.path.join(path, "id_rank.npy"))
@@ -260,11 +308,4 @@ def load_dense_index(path: str) -> DenseIndex:
         raise DataError(f"{path}: not a dense index artifact ({e})") from e
     if vectors.shape != (len(ids), dim) or vectors.dtype != np.float64:
         raise DataError(f"{path}: dense index vectors are not {len(ids)} x {dim} float64")
-    return DenseIndex(
-        vectors,
-        ids,
-        {pid: i for i, pid in enumerate(ids)},
-        provider,
-        dim,
-        stored_id_ranks(path, id_rank, len(ids)),
-    )
+    return DenseIndex(vectors, ids, provider, dim, stored_id_ranks(path, id_rank, ids))

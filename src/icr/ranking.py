@@ -8,9 +8,12 @@ ascending, no duplicate ids, truncated to the requested depth.
 from __future__ import annotations
 
 import contextlib
+import operator
 import warnings
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 from math import isfinite
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -49,9 +52,11 @@ def id_ranks(ids: Sequence[str]) -> np.ndarray:
     return ranks
 
 
-def stored_id_ranks(path: str, ranks: np.ndarray, n: int) -> np.ndarray:
-    """Id ranks read from an index file, as int64; a DataError unless they
-    are a permutation of the ``n`` ordinals."""
+def stored_id_ranks(path: str, ranks: np.ndarray, ids: list) -> np.ndarray:
+    """Id ranks read from an index file, as int64. A DataError unless the
+    ids are distinct strings and ``ranks`` is their order, which
+    ``by_rank`` of the ranks lists in increasing id order."""
+    n = len(ids)
     ok = ranks.shape == (n,) and ranks.dtype.kind in "iu" and (n == 0 or 0 <= ranks.min() <= ranks.max() < n)
     if ok:
         ranks = ranks.astype(np.int64)
@@ -60,7 +65,30 @@ def stored_id_ranks(path: str, ranks: np.ndarray, n: int) -> np.ndarray:
         ok = bool(seen.all())
     if not ok:
         raise DataError(f"{path}: stored id ranks are not a permutation of the passage ordinals")
+    if not set(map(type, ids)) <= {str}:
+        raise DataError(f"{path}: passage ids must be strings")
+    # a memoryview yields each ordinal as it is read, so no list of ints is held
+    ordered = list(map(ids.__getitem__, memoryview(by_rank(ranks))))
+    if not all(map(operator.lt, ordered, islice(ordered, 1, None))):
+        prev, pid = next((a, b) for a, b in zip(ordered, ordered[1:]) if not a < b)
+        raise DataError(
+            f"{path}: passage id {pid!r} repeats" if prev == pid else f"{path}: stored id ranks do not order the ids"
+        )
     return ranks
+
+
+def by_rank(id_rank: np.ndarray) -> np.ndarray:
+    """The ordinals in increasing id order: the inverse of ``id_rank``."""
+    ordinals = np.empty_like(id_rank)
+    ordinals[id_rank] = np.arange(len(id_rank))
+    return ordinals
+
+
+def has_id(ids: Sequence[str], ordered: np.ndarray, passage_id: str) -> bool:
+    """Whether ``passage_id`` is one of ``ids``, by binary search over
+    ``ordered``, the ordinals in increasing id order (see ``by_rank``)."""
+    at = bisect_left(ordered, passage_id, key=ids.__getitem__)
+    return at < len(ordered) and ids[ordered[at]] == passage_id
 
 
 def top_k(

@@ -13,8 +13,12 @@ stemming or stopwords) so independent scorers can reproduce results
 exactly. Indexes are immutable after build; concurrent searches over a
 shared index are safe.
 
-Postings are CSR rows: term ``t`` owns row ``terms[t]``, whose passage
-ordinals (increasing) and term frequencies ``SparseIndex.postings`` returns.
+The vocabulary is a sorted string table (Witten, Moffat and Bell,
+*Managing Gigabytes*, 2nd ed., ch. 4): the terms' UTF-8 bytes one after
+another, in byte order, and their lengths. Term ``r`` in that order owns
+CSR row ``r``, whose passage ordinals (increasing) and term frequencies
+``SparseIndex.postings`` returns, and ``SparseIndex.row`` finds a term by
+binary search, so a load makes no object per term.
 Rows are cut into blocks of a few thousand postings, and a loaded index
 decodes a block the first time a search reads one of its rows. Search
 scores term-at-a-time with vectorised adds in query-token order, so each
@@ -30,7 +34,8 @@ import math
 import re
 import zipfile
 import zlib
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -39,7 +44,7 @@ import numpy as np
 from .config import Bm25Params
 from .corpus import Passage, replacing
 from .errors import DataError, DuplicateId, EmptyCollection
-from .ranking import RankedList, id_ranks, stored_id_ranks, top_k
+from .ranking import RankedList, by_rank, has_id, id_ranks, stored_id_ranks, top_k
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # The same rule for ASCII text as a byte table: A-Z folds to a-z, the rest
@@ -47,12 +52,13 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _ASCII_TOKEN_TABLE = bytes(ord(c.lower()) if c.isalnum() else 0x20 for c in map(chr, range(128))) + b" " * 128
 
 INDEX_FORMAT = "icr-sparse-index"
-INDEX_VERSION = 5
+INDEX_VERSION = 6
 
-# Archive members, in write order: meta, offsets, doc_lengths, id_rank,
-# postings and blocks. All but ``postings`` are .npy arrays of byte planes
-# (see ``_to_planes``) deflated at level 1: ``meta`` holds the JSON header
-# (format, version, params, ids, terms) as UTF-8 bytes, ``id_rank`` the
+# Archive members, in write order: meta, terms, term_lengths, offsets,
+# doc_lengths, id_rank, postings and blocks. All but ``postings`` are .npy
+# arrays of byte planes (see ``_to_planes``) deflated at level 1: ``meta``
+# holds the JSON header (format, version, params, ids) as UTF-8 bytes,
+# ``terms`` and ``term_lengths`` the string table, ``id_rank`` the
 # ordinal -> id rank map, so a load does not sort the ids, and ``blocks``
 # the block table. ``postings`` is a flat uint8 array of the blocks' zlib
 # streams, stored, so a load inflates none of them.
@@ -95,14 +101,20 @@ class PostingBlocks:
 @dataclass
 class SparseIndex:
     params: Bm25Params
-    terms: dict[str, int]  # term -> CSR row
-    offsets: np.ndarray  # int64, len(terms) + 1; row r's postings are offsets[r]:offsets[r + 1]
+    term_bytes: bytes  # every term's UTF-8, in byte order; term r owns CSR row r
+    term_lengths: np.ndarray  # int64 byte length of each term
+    offsets: np.ndarray  # int64, one per term plus one; row r's postings are offsets[r]:offsets[r + 1]
     blocks: PostingBlocks
     doc_lengths: np.ndarray  # int64 token count per ordinal
     ids: list[str]  # ordinal -> passage id
     id_rank: np.ndarray | None = None  # ordinal -> rank of its id; None computes it
     avg_doc_length: float = field(init=False)
-    ordinals: dict[str, int] = field(init=False)  # passage id -> ordinal
+    by_rank: np.ndarray = field(init=False, repr=False)  # the ordinals in id order
+    # int64, one per term plus one: term r is term_bytes[term_starts[r]:term_starts[r + 1]]
+    term_starts: np.ndarray = field(init=False, repr=False)
+    # each term's first 8 bytes, zero-padded, as a big-endian uint64: these
+    # keys sort as the terms do, and a lookup searches them first
+    term_keys: np.ndarray = field(init=False, repr=False)
     # k1 * (1 - b + b * len(d) / avglen) per ordinal, the length part of
     # the BM25 denominator in the scalar formula's operation order
     length_norm: np.ndarray = field(init=False, repr=False)
@@ -114,9 +126,12 @@ class SparseIndex:
     def __post_init__(self) -> None:
         k1, b = self.params.k1, self.params.b
         self.avg_doc_length = int(self.doc_lengths.sum()) / len(self.doc_lengths)
-        self.ordinals = dict(zip(self.ids, range(len(self.ids))))
         if self.id_rank is None:
             self.id_rank = id_ranks(self.ids)
+        self.by_rank = by_rank(self.id_rank)
+        self.term_starts = np.zeros(len(self.term_lengths) + 1, dtype=np.int64)
+        np.cumsum(self.term_lengths, out=self.term_starts[1:])
+        self.term_keys = _prefix_keys(self.term_bytes, self.term_starts)
         # an average of 0 means no passage has a token, so no norm is read
         avg = self.avg_doc_length or 1.0
         self.length_norm = k1 * (1.0 - b + b * self.doc_lengths / avg)
@@ -128,7 +143,22 @@ class SparseIndex:
         return len(self.ids)
 
     def __contains__(self, passage_id: str) -> bool:
-        return passage_id in self.ordinals
+        return has_id(self.ids, self.by_rank, passage_id)
+
+    def row(self, term: str) -> int | None:
+        """The CSR row of ``term``, or None when no passage holds it."""
+        key = term.encode("utf-8")
+        prefix = np.uint64(int.from_bytes(key[:8].ljust(8, b"\0"), "big"))
+        keys, blob, starts = self.term_keys, self.term_bytes, self.term_starts
+        row = int(keys.searchsorted(prefix))
+        if len(key) > 8:
+            # terms no longer than 8 bytes have keys of their own; longer
+            # ones share theirs with the terms of the same first 8 bytes
+            end = int(keys.searchsorted(prefix, "right"))
+            row = bisect_left(range(row, end), key, key=lambda r: blob[starts[r] : starts[r + 1]]) + row
+        if row < len(keys) and blob[starts[row] : starts[row + 1]] == key:
+            return row
+        return None
 
     def postings(self, row: int) -> tuple[np.ndarray, np.ndarray]:
         """Row ``row``'s passage ordinals (increasing) and term frequencies,
@@ -165,6 +195,17 @@ class SparseIndex:
         return blocks.decoded.setdefault(block, (ords.astype(np.int32), tfs.astype(np.int32)))
 
 
+def _prefix_keys(blob: bytes, starts: np.ndarray) -> np.ndarray:
+    """``SparseIndex.term_keys`` of a string table, one byte column at a time."""
+    data = np.frombuffer(blob + bytes(8), dtype=np.uint8)
+    firsts, lengths = starts[:-1], np.diff(starts)
+    keys = np.zeros(len(lengths), dtype=np.uint64)
+    for j in range(8):
+        keys <<= 8
+        keys |= data[firsts + j] * (lengths > j)
+    return keys
+
+
 def _cut(offsets: np.ndarray) -> list[int]:
     """The first rows of the blocks, ending with the row count. A block
     closes at the end of the row that brings it to ``BLOCK_POSTINGS``."""
@@ -183,9 +224,9 @@ def build_sparse_index(collection: Iterable[Passage], params: Bm25Params | None 
     collection yields no passages and DuplicateId on repeated ids.
     """
     params = params or Bm25Params()
-    terms: dict[str, int] = {}
-    rows: list[int] = []  # the CSR row of every token, passage by passage
-    doc_lengths: list[int] = []
+    seen: dict[str, int] = {}  # term -> its number in first-seen order
+    numbers = array("i")  # the number of every token's term, passage by passage
+    doc_lengths = array("q")
     ids: dict[str, None] = {}  # an insertion-ordered set
     for passage in collection:
         if passage.id in ids:
@@ -193,26 +234,46 @@ def build_sparse_index(collection: Iterable[Passage], params: Bm25Params | None 
         ids[passage.id] = None
         tokens = tokenize(passage.text)
         doc_lengths.append(len(tokens))
-        rows.extend([terms.setdefault(term, len(terms)) for term in tokens])
+        numbers.fromlist([seen.setdefault(term, len(seen)) for term in tokens])
     if not ids:
         raise EmptyCollection("cannot build an index over an empty collection")
-    # one key, row * n + ordinal, per token: the distinct keys in sorted
-    # order are the postings in CSR order, and their counts are the tfs
+    # rows follow the terms' UTF-8 byte order, which is Python's str order
+    terms = sorted(seen)
+    rows = np.empty(len(terms), dtype=np.int64)  # first-seen number -> row
+    rows[np.fromiter(map(seen.__getitem__, terms), dtype=np.int64, count=len(terms))] = np.arange(len(terms))
+    # no token holds a space, so the spaces of one joined string split it
+    joined = " ".join(terms).encode("utf-8")
+    ends = np.flatnonzero(np.frombuffer(joined + b" ", dtype=np.uint8) == 32)[: len(terms)]
+    term_lengths = np.diff(ends, prepend=-1) - 1
+    del seen, terms
+    # one key, row * n + ordinal, per token, sorted in place: the distinct
+    # keys are the postings in CSR order, and their run lengths the tfs
     n = len(ids)
     lengths = np.array(doc_lengths, dtype=np.int64)
-    keys = np.array(rows, dtype=np.int64)
-    del rows  # freed before the sort, which sets build-index's peak memory
+    keys = rows[np.frombuffer(numbers, dtype=np.intc)]
+    del numbers  # freed before the sort, which sets build-index's peak memory
     keys *= n
-    keys += np.repeat(np.arange(n, dtype=np.int64), lengths)
-    keys, tfs = np.unique(keys, return_counts=True)
-    posting_rows, ords = np.divmod(keys, n)
-    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(posting_rows, minlength=len(terms)), out=offsets[1:])
-    ords, tfs = ords.astype(np.int32), tfs.astype(np.int32)
+    keys += np.repeat(np.arange(n, dtype=np.int32), lengths)
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    runs = np.flatnonzero(first)
+    del first
+    postings = keys[runs]
+    tfs = np.empty(len(runs), dtype=np.int32)
+    np.subtract(runs[1:], runs[:-1], out=tfs[:-1], casting="unsafe")
+    tfs[len(runs) - 1 :] = len(keys) - runs[-1:]
+    del keys, runs
+    offsets = postings.searchsorted(np.arange(len(term_lengths) + 1, dtype=np.int64) * n)
+    ords = np.remainder(postings, n, out=postings).astype(np.int32)
+    del postings
     first_rows = _cut(offsets)
     starts = offsets[first_rows].tolist()
     decoded = {block: (ords[lo:hi], tfs[lo:hi]) for block, (lo, hi) in enumerate(zip(starts, starts[1:]))}
-    return SparseIndex(params, terms, offsets, PostingBlocks(first_rows, decoded), lengths, list(ids))
+    return SparseIndex(
+        params, joined.replace(b" ", b""), term_lengths, offsets, PostingBlocks(first_rows, decoded), lengths, list(ids)
+    )
 
 
 def search_sparse(index: SparseIndex, query: str, k: int, tag: str | None = None) -> RankedList:
@@ -224,7 +285,7 @@ def search_sparse(index: SparseIndex, query: str, k: int, tag: str | None = None
     scores = np.zeros(n)
     matched = np.zeros(n, dtype=bool)
     for term in tokenize(query):
-        row = index.terms.get(term)
+        row = index.row(term)
         if row is None:
             continue
         ords, tfs = index.postings(row)
@@ -301,10 +362,11 @@ def save_sparse_index(index: SparseIndex, path: str) -> None:
         "version": INDEX_VERSION,
         "params": {"k1": index.params.k1, "b": index.params.b},
         "ids": index.ids,
-        "terms": list(index.terms),
     }
     header = {
         "meta": np.frombuffer(json.dumps(meta, ensure_ascii=False).encode("utf-8"), dtype=np.uint8),
+        "terms": np.frombuffer(index.term_bytes, dtype=np.uint8),
+        "term_lengths": _narrow(index.term_lengths),
         "offsets": _narrow(index.offsets),
         "doc_lengths": _narrow(index.doc_lengths),
         "id_rank": _narrow(index.id_rank),
@@ -325,11 +387,11 @@ def _read_member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
 
 
 def load_sparse_index(path: str) -> SparseIndex:
-    """Load an index written by ``save_sparse_index`` (version 5 only).
+    """Load an index written by ``save_sparse_index`` (version 6 only).
 
-    Reads the header arrays and the compressed postings, whose zip CRC
-    covers every block, and decodes no block: ``SparseIndex.postings``
-    decodes one on first use.
+    Reads the header arrays, the string table and the compressed postings,
+    whose zip CRC covers every block, and decodes no block:
+    ``SparseIndex.postings`` decodes one on first use.
     """
     with open(path, "rb") as fh:
         if fh.read(2) == b"\x1f\x8b":
@@ -351,8 +413,9 @@ def load_sparse_index(path: str) -> SparseIndex:
                     f"re-run build-index to write version {INDEX_VERSION}"
                 )
             _from_planes(path, "meta", meta_planes)
-            offsets, doc_lengths, id_rank = (
-                _from_planes(path, name, _read_member(zf, name)) for name in ("offsets", "doc_lengths", "id_rank")
+            term_bytes, term_lengths, offsets, doc_lengths, id_rank = (
+                _from_planes(path, name, _read_member(zf, name))
+                for name in ("terms", "term_lengths", "offsets", "doc_lengths", "id_rank")
             )
             streams = _read_member(zf, "postings")
             table = _from_planes(path, "blocks", _read_member(zf, "blocks"))
@@ -360,37 +423,49 @@ def load_sparse_index(path: str) -> SparseIndex:
         raise DataError(f"{path}: not a sparse index artifact ({e})") from e
     if streams.dtype != np.uint8 or streams.ndim != 1:
         raise DataError(f"{path}: sparse index member postings is not a byte array")
-    ids, terms, params = meta.get("ids"), meta.get("terms"), meta.get("params")
-    if not isinstance(ids, list) or not isinstance(terms, list) or not isinstance(params, dict):
-        raise DataError(f"{path}: sparse index meta needs lists of ids and terms and a params object")
+    ids, params = meta.get("ids"), meta.get("params")
+    if not isinstance(ids, list) or not isinstance(params, dict):
+        raise DataError(f"{path}: sparse index meta needs a list of ids and a params object")
     try:
         params = Bm25Params(**params)
     except (TypeError, ValueError) as e:
         raise DataError(f"{path}: sparse index params are invalid ({e})") from e
-    offsets, table = offsets.astype(np.int64), table.astype(np.int64)
+    offsets, table, term_lengths = offsets.astype(np.int64), table.astype(np.int64), term_lengths.astype(np.int64)
     first_rows, bounds = table[: len(table) // 2], table[len(table) // 2 :]
+    rows = len(term_lengths)
     if (
         not ids
         or len(doc_lengths) != len(ids)
-        or len(offsets) != len(terms) + 1
+        or len(offsets) != rows + 1
         or offsets[0] != 0
         or np.any(np.diff(offsets) < 1)
         or len(table) % 2
         or not len(table)
         or first_rows[0] != 0
-        or first_rows[-1] != len(terms)
+        or first_rows[-1] != rows
         or np.any(np.diff(first_rows) < 1)
         or bounds[0] != 0
         or bounds[-1] != len(streams)
         or np.any(np.diff(bounds) < 0)
     ):
         raise DataError(f"{path}: sparse index arrays are inconsistent")
-    return SparseIndex(
+    if term_bytes.dtype != np.uint8 or np.any(term_lengths < 1) or term_lengths.sum() != len(term_bytes):
+        raise DataError(f"{path}: sparse index term lengths do not split the terms")
+    term_bytes = term_bytes.tobytes()
+    try:
+        term_bytes.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: sparse index terms are not UTF-8 ({e})") from e
+    index = SparseIndex(
         params,
-        dict(zip(terms, range(len(terms)))),
+        term_bytes,
+        term_lengths,
         offsets,
         PostingBlocks(first_rows.tolist(), {}, path, streams, bounds.tolist()),
         doc_lengths.astype(np.int64),
         ids,
-        stored_id_ranks(path, id_rank, len(ids)),
+        stored_id_ranks(path, id_rank, ids),
     )
+    if np.any(index.term_keys[1:] < index.term_keys[:-1]):
+        raise DataError(f"{path}: sparse index terms are not in byte order")
+    return index

@@ -128,17 +128,18 @@ def oracle_topk(scored: list[tuple[str, float]], k: int) -> list[tuple[str, floa
 
 def oracle_sparse_postings(texts: list[str]):
     """``(terms, offsets, ords, tfs, doc_lengths)`` of a BM25 index, built one
-    posting at a time: rows in first-seen term order, ordinals increasing
-    within each row."""
-    terms: dict[str, int] = {}
-    rows, ords, tfs, doc_lengths = [], [], [], []
+    posting at a time: rows in the order of the terms' UTF-8 bytes,
+    ordinals increasing within each row."""
+    postings, doc_lengths = [], []
     for ordinal, text in enumerate(texts):
         tokens = oracle_tokenize(text)
         doc_lengths.append(len(tokens))
-        for term, tf in Counter(tokens).items():
-            rows.append(terms.setdefault(term, len(terms)))
-            ords.append(ordinal)
-            tfs.append(tf)
+        postings += [(term, ordinal, tf) for term, tf in Counter(tokens).items()]
+    vocab = sorted({term for term, _, _ in postings}, key=lambda term: term.encode("utf-8"))
+    terms = {term: row for row, term in enumerate(vocab)}
+    rows = [terms[term] for term, _, _ in postings]
+    ords = [ordinal for _, ordinal, _ in postings]
+    tfs = [tf for _, _, tf in postings]
     row_arr = np.array(rows, dtype=np.int64)
     order = np.argsort(row_arr, kind="stable")
     offsets = np.zeros(len(terms) + 1, dtype=np.int64)

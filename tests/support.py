@@ -75,8 +75,14 @@ def make_overthinking(
     return extend_redundantly(trajectory, sample, client, indexes, config, k)
 
 
+def vocabulary(index: SparseIndex) -> list[str]:
+    """A sparse index's terms in row order, read from its string table."""
+    starts = index.term_starts.tolist()
+    return [index.term_bytes[lo:hi].decode("utf-8") for lo, hi in zip(starts, starts[1:])]
+
+
 def csr_postings(index: SparseIndex) -> tuple[np.ndarray, np.ndarray]:
     """A sparse index's ordinals and tfs as flat CSR arrays, row after row."""
-    rows = [index.postings(row) for row in range(len(index.terms))]
+    rows = [index.postings(row) for row in range(len(index.term_lengths))]
     empty = np.zeros(0, dtype=np.int32)
     return np.concatenate([r[0] for r in rows] or [empty]), np.concatenate([r[1] for r in rows] or [empty])

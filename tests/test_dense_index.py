@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import random
 import threading
@@ -290,7 +291,7 @@ def test_build_equals_per_token_oracle_across_batches():
     index = build_dense_index([Passage(f"p{i}", t) for i, t in enumerate(texts)], HashEmbeddingProvider(dim=8))
     assert np.array_equal(index.vectors, oracle_hash_embedding(texts, 8))
     assert index.ids == [f"p{i}" for i in range(150)]
-    assert index.ordinals == {f"p{i}": i for i in range(150)}
+    assert all(f"p{i}" in index for i in range(150)) and "p150" not in index and "p" not in index
 
 
 class _CountingProvider(HashEmbeddingProvider):
@@ -303,14 +304,22 @@ class _CountingProvider(HashEmbeddingProvider):
         return super().embed_batch(texts, role)
 
 
-def test_build_checks_ids_before_embedding():
+def test_build_refuses_a_repeated_id_before_embedding_its_batch(tmp_path):
+    # the build reads the collection once, so the batches before the repeat
+    # are embedded; the repeat's own batch is not, and nothing is saved
     provider = _CountingProvider()
     passages = [Passage(f"p{i}", "text") for i in range(100)] + [Passage("p0", "again")]
     with pytest.raises(DuplicateId):
         build_dense_index(passages, provider, batch_size=10)
+    assert provider.calls == 10
+    with pytest.raises(DuplicateId):
+        build_dense_index(iter(passages), provider, batch_size=10, path=str(tmp_path / "dense"))
+    assert provider.calls == 20 and list(tmp_path.iterdir()) == []
     with pytest.raises(EmptyCollection):
         build_dense_index(iter([]), provider)
-    assert provider.calls == 0
+    with pytest.raises(EmptyCollection):
+        build_dense_index(iter([]), provider, path=str(tmp_path / "dense"))
+    assert provider.calls == 20 and list(tmp_path.iterdir()) == []
 
 
 def test_build_outage_mid_build_reports_passages_done():
@@ -434,3 +443,88 @@ def test_a_malformed_meta_json_is_a_data_error_naming_the_index(tmp_path, edit):
     with pytest.raises(DataError) as err:
         load_dense_index(str(path))
     assert str(err.value).startswith(f"{path}: ")
+
+
+def test_a_batch_with_the_wrong_row_count_is_a_provider_error_naming_both_counts():
+    class DropsLastRow(HashEmbeddingProvider):
+        def embed_batch(self, texts, role=None):
+            return super().embed_batch(texts, role)[:-1]
+
+    passages = [Passage(f"p{i}", f"t{i}") for i in range(8)]
+    with pytest.raises(ProviderUnavailable, match=r"provider returned 7 vectors for 8 texts"):
+        build_dense_index(passages, DropsLastRow(dim=8))
+
+
+_WORDS = ["", "alpha", "beta", "Dé", "日本", "straße", "x_y"]
+
+
+def test_streamed_vectors_equal_np_save_of_the_in_memory_build(tmp_path_factory):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # collection sizes sit on and around the batch edges; empty and
+    # non-ASCII texts give zero rows and multi-byte tokens
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(
+        st.sampled_from([1, 2, 3, 4, 5, 63, 64, 65, 128, 129]),
+        st.sampled_from([1, 2, 3, 64]),
+        st.randoms(use_true_random=False),
+    )
+    def check(n, batch_size, rng):
+        passages = [Passage(f"p{i}", " ".join(rng.choices(_WORDS, k=rng.randint(0, 6)))) for i in range(n)]
+        provider = HashEmbeddingProvider(dim=8)
+        built = build_dense_index(passages, provider, batch_size=batch_size)
+        saved, streamed = tmp_path_factory.mktemp("saved") / "dense", tmp_path_factory.mktemp("streamed") / "dense"
+        save_dense_index(built, str(saved))
+        index = build_dense_index(iter(passages), provider, batch_size=batch_size, path=str(streamed))
+        buf = io.BytesIO()
+        np.save(buf, built.vectors)
+        assert (streamed / "vectors.npy").read_bytes() == buf.getvalue()
+        for name in ("vectors.npy", "meta.json", "id_rank.npy"):
+            assert (streamed / name).read_bytes() == (saved / name).read_bytes(), name
+        assert isinstance(index.vectors, np.memmap) and np.array_equal(index.vectors, built.vectors)
+        assert index.ids == built.ids and index.id_rank.tolist() == built.id_rank.tolist()
+
+    check()
+
+
+def test_an_outage_mid_stream_leaves_no_index_and_keeps_its_message(tmp_path):
+    class Failing(HashEmbeddingProvider):
+        def embed_batch(self, texts, role=None):
+            if texts[0] == "t4":
+                raise ProviderUnavailable("down")
+            return super().embed_batch(texts, role)
+
+    passages = [Passage(f"p{i}", f"t{i}") for i in range(6)]
+    fresh = tmp_path / "fresh"
+    with pytest.raises(ProviderUnavailable, match=r"^down \(embedded 4 passages before failure\)$"):
+        build_dense_index(passages, Failing(dim=4), batch_size=2, path=str(fresh))
+    assert list(tmp_path.iterdir()) == []
+    # an index saved before stays as it was
+    _, path = _saved(tmp_path)
+    before = {p.name: p.read_bytes() for p in path.iterdir()}
+    with pytest.raises(ProviderUnavailable, match=r"embedded 4 passages before failure"):
+        build_dense_index(passages, Failing(dim=8), batch_size=2, path=str(path))
+    assert {p.name: p.read_bytes() for p in path.iterdir()} == before
+
+
+@pytest.mark.parametrize("ids", [["a", "a"], [1, "1"], ["a", None]], ids=["repeated", "int-and-str", "null"])
+def test_a_meta_json_whose_ids_repeat_or_are_not_strings_is_a_data_error_naming_the_index(tmp_path, capsys, ids):
+    from icr.cli import main
+
+    from .conftest import build_cli_workspace
+
+    path = tmp_path / "dense"
+    save_dense_index(build_dense_index([Passage("a", "alpha"), Passage("b", "beta")], HashEmbeddingProvider(dim=8)),
+                     str(path))
+    meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
+    (path / "meta.json").write_text(json.dumps(dict(meta, ids=ids)), encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_dense_index(str(path))
+    assert str(err.value).startswith(f"{path}: ")
+    ws = build_cli_workspace(tmp_path / "data")
+    capsys.readouterr()
+    argv = ["infer", "--dataset", ws["dataset"], "--dense-index", str(path), "--retriever", "dense",
+            "--mock-script", ws["script"], "--out", str(tmp_path / "run.trec"), "--config", ws["config"]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {path}: ")

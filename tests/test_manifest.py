@@ -134,15 +134,16 @@ def ws(tmp_path):
 def test_prefdata_reuses_the_dense_index_digest_that_embed_index_recorded(ws, monkeypatch, capsys):
     sparse, dense, dcr = (str(ws["out"] / n) for n in ("sparse.idx.gz", "dense.idx", "dcr.jsonl"))
     cfg = ["--config", ws["config"]]
-    save_dense_index = dense_index.save_dense_index
+    build_dense_index = dense_index.build_dense_index
 
-    def save_then_settle(index, path):
+    def save_then_settle(*args, **kwargs):
         # hashing the vectors of a collection at benchmark scale takes
         # longer than the racy margin; the toy collection's take microseconds
-        save_dense_index(index, path)
+        index = build_dense_index(*args, **kwargs)
         _settle()
+        return index
 
-    monkeypatch.setattr(dense_index, "save_dense_index", save_then_settle)
+    monkeypatch.setattr(dense_index, "build_dense_index", save_then_settle)
     assert main(["build-index", "--collection", ws["collection"], "--out", sparse, *cfg]) == 0
     assert main(["embed-index", "--collection", ws["collection"], "--out", dense, *cfg]) == 0
     idx = ["--sparse-index", sparse, "--dense-index", dense, "--mock-script", ws["script"]]

@@ -179,15 +179,16 @@ def test_a_rerun_in_place_replaces_every_output_with_the_same_bytes(ws, capsys, 
             os.link(out / f, out.parent / "before" / f)
 
         hashed = []
-        save_dense_index, file_digest = dense_mod.save_dense_index, manifest_mod.file_digest
+        build_dense_index, file_digest = dense_mod.build_dense_index, manifest_mod.file_digest
 
-        def save_then_settle(index, path):
-            save_dense_index(index, path)
+        def save_then_settle(*args, **kwargs):
+            index = build_dense_index(*args, **kwargs)
             # as when the vectors take longer to hash than the racy margin
             time.sleep(3 * RACY_MARGIN_NS / 1e9)
             monkeypatch.setattr(manifest_mod, "file_digest", lambda p: hashed.append(p) or file_digest(p))
+            return index
 
-        monkeypatch.setattr(dense_mod, "save_dense_index", save_then_settle)
+        monkeypatch.setattr(dense_mod, "build_dense_index", save_then_settle)
         for argv in commands.values():
             assert main(argv) == 0, argv
         capsys.readouterr()

@@ -33,7 +33,7 @@ from icr.sparse_index import (
 
 from .conftest import build_cli_workspace
 from .oracles import oracle_bm25_topk, oracle_sparse_postings
-from .support import csr_postings
+from .support import csr_postings, vocabulary
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -42,7 +42,7 @@ st = pytest.importorskip("hypothesis.strategies")
 def _postings(index) -> dict[str, list[tuple[int, int]]]:
     """The CSR rows read back as term -> [(ordinal, tf)]."""
     out = {}
-    for term, row in index.terms.items():
+    for row, term in enumerate(vocabulary(index)):
         ords, tfs = index.postings(row)
         out[term] = list(zip(ords.tolist(), tfs.tolist()))
     return out
@@ -167,7 +167,8 @@ def test_rebuild_is_byte_identical(tmp_path):
     with zipfile.ZipFile(a) as zf:
         members = zf.infolist()
     assert [m.filename for m in members] == [
-        "meta.npy", "offsets.npy", "doc_lengths.npy", "id_rank.npy", "postings.npy", "blocks.npy",
+        "meta.npy", "terms.npy", "term_lengths.npy", "offsets.npy", "doc_lengths.npy", "id_rank.npy",
+        "postings.npy", "blocks.npy",
     ]
     assert {m.date_time for m in members} == {(1980, 1, 1, 0, 0, 0)}
     assert [m.filename for m in members if m.compress_type == zipfile.ZIP_STORED] == ["postings.npy"]
@@ -185,11 +186,11 @@ def test_save_load_roundtrip(tmp_path):
         save_sparse_index(index, str(path))
         loaded = load_sparse_index(str(path))
         assert loaded.params == index.params
-        assert loaded.terms == index.terms
+        assert loaded.term_bytes == index.term_bytes
         assert _postings(loaded) == _postings(index)
         assert loaded.doc_lengths.tolist() == index.doc_lengths.tolist()
         assert loaded.ids == index.ids
-        for name in ("offsets", "doc_lengths", "id_rank", "length_norm"):
+        for name in ("term_lengths", "offsets", "doc_lengths", "id_rank", "length_norm"):
             got, want = getattr(loaded, name), getattr(index, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert loaded.avg_doc_length == index.avg_doc_length
@@ -258,7 +259,7 @@ def test_malformed_artifacts_are_data_errors(tmp_path):
 def _assert_equals_oracle(texts: list[str]) -> None:
     index = build_sparse_index([Passage(f"p{i}", t) for i, t in enumerate(texts)])
     terms, offsets, ords, tfs, doc_lengths = oracle_sparse_postings(texts)
-    assert index.terms == terms and list(index.terms) == list(terms)
+    assert vocabulary(index) == list(terms)
     got_ords, got_tfs = csr_postings(index)
     for name, got, want in (
         ("offsets", index.offsets, offsets),
@@ -366,7 +367,7 @@ def test_version_3_artifact_is_rejected(tmp_path):
     _write_members(path, members)
     with pytest.raises(DataError) as err:
         load_sparse_index(str(path))
-    assert "version 3" in str(err.value) and "re-run build-index to write version 5" in str(err.value)
+    assert "version 3" in str(err.value) and "re-run build-index to write version 6" in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -402,13 +403,12 @@ def test_load_takes_the_stored_id_ranks(tmp_path, monkeypatch):
     [
         lambda meta: {k: v for k, v in meta.items() if k != "ids"},
         lambda meta: dict(meta, ids=7),
-        lambda meta: dict(meta, terms={"a": 0}),
         lambda meta: dict(meta, params={"k1": "x"}),
         lambda meta: dict(meta, params={"k1": math.nan, "b": 0.4}),
         lambda meta: dict(meta, params={"k1": 0.9, "c": 1}),
         lambda meta: dict(meta, params=[0.9, 0.4]),
     ],
-    ids=["no-ids", "ids-not-a-list", "terms-not-a-list", "k1-not-a-number", "k1-nan", "unknown-param", "params-not-an-object"],
+    ids=["no-ids", "ids-not-a-list", "k1-not-a-number", "k1-nan", "unknown-param", "params-not-an-object"],
 )
 def test_a_malformed_meta_member_is_a_data_error_naming_the_index(tmp_path, edit):
     good = tmp_path / "good.idx"
@@ -440,7 +440,7 @@ def test_version_4_artifact_is_rejected(tmp_path):
     _v4_archive(path, ["a b", "b"])
     with pytest.raises(DataError) as err:
         load_sparse_index(str(path))
-    assert "version 4" in str(err.value) and "re-run build-index to write version 5" in str(err.value)
+    assert "version 4" in str(err.value) and "re-run build-index to write version 6" in str(err.value)
 
 
 _WORDS = ["a", "b", "c", "d", "e"]
@@ -467,10 +467,10 @@ def test_saved_and_loaded_postings_and_searches_equal_the_built_index(tmp_path_f
         save_sparse_index(loaded, str(again))  # decodes every block
         assert again.read_bytes() == path.read_bytes()
         loaded = load_sparse_index(str(path))
-        for row in built.terms.values():
+        for row in range(len(built.term_lengths)):
             for got, want in zip(loaded.postings(row), built.postings(row)):
                 assert got.dtype == want.dtype == np.int32 and np.array_equal(got, want)
-        for query in queries + list(built.terms):
+        for query in queries + vocabulary(built):
             for k in (1, 3, len(built.ids)):
                 # scores compare bit for bit
                 assert search_sparse(loaded, query, k).entries == search_sparse(built, query, k).entries
@@ -486,7 +486,7 @@ def test_a_load_decodes_no_block_and_a_search_only_the_blocks_of_its_terms(tmp_p
     assert index.blocks.decoded == {}
     search_sparse(index, "t1 v7 nothing", 5)
     first_rows = index.blocks.first_rows
-    blocks = {bisect_right(first_rows, index.terms[term]) - 1 for term in ("t1", "v7")}
+    blocks = {bisect_right(first_rows, index.row(term)) - 1 for term in ("t1", "v7")}
     assert len(blocks) == 2 and len(first_rows) > 10
     assert set(index.blocks.decoded) == blocks
 
@@ -568,3 +568,124 @@ def test_a_damaged_block_that_passes_the_crc_is_a_data_error_naming_the_index(tm
     with pytest.raises(DataError) as err:
         search_sparse(index, "b", 2)
     assert str(err.value).startswith(f"{bad}: ")
+
+
+# each is its own lowercase and alphanumeric, so a run of them is one token
+_LETTERS = "abz09éßж日"
+_LONG_PREFIX = "abcdefghijklmnop"  # 16 bytes
+
+
+def test_row_agrees_with_a_dict_of_the_same_terms_and_a_load_searches_alike(tmp_path_factory):
+    terms = st.one_of(
+        st.text(_LETTERS, min_size=1, max_size=12),
+        st.text(_LETTERS, max_size=4).map(lambda s: _LONG_PREFIX + s),
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(st.lists(terms, min_size=1, max_size=30), st.lists(terms, max_size=10), st.randoms())
+    @hypothesis.example(["a", "b" * 1200, _LONG_PREFIX, _LONG_PREFIX + "a"], ["b" * 1199, _LONG_PREFIX + "b"], None)
+    def check(present, absent, rng):
+        rng = rng or random.Random(0)
+        texts = [" ".join(rng.sample(present, rng.randint(0, len(present)))) for _ in range(12)] + [" ".join(present)]
+        built = build_sparse_index([Passage(f"p{i}", t) for i, t in enumerate(texts)])
+        path = tmp_path_factory.mktemp("idx") / "sparse.idx"
+        save_sparse_index(built, str(path))
+        loaded = load_sparse_index(str(path))
+        rows = {term: row for row, term in enumerate(sorted(set(present), key=lambda t: t.encode("utf-8")))}
+        for index in (built, loaded):
+            assert {term: index.row(term) for term in present} == rows
+            assert all(index.row(term) is None for term in absent if term not in rows)
+        for query in [" ".join(present), " ".join(absent)] + present[:5]:
+            # scores compare bit for bit
+            assert search_sparse(loaded, query, 20).entries == search_sparse(built, query, 20).entries
+
+    check()
+
+
+def test_a_fresh_load_makes_no_object_per_term(tmp_path):
+    import tracemalloc
+
+    n_terms = 5000
+    path = tmp_path / "sparse.idx"
+    words = [f"w{i}" for i in range(n_terms)]
+    save_sparse_index(build_sparse_index([Passage(f"p{i}", " ".join(words[i::4])) for i in range(4)]), str(path))
+    load_sparse_index(str(path))  # imports and caches warmed
+    tracemalloc.start()
+    try:
+        index = load_sparse_index(str(path))
+        held = sum(stat.count for stat in tracemalloc.take_snapshot().statistics("filename"))
+    finally:
+        tracemalloc.stop()
+    assert index.row("w4999") is not None and index.row("w5000") is None
+    # a term dict or list would hold at least one block per term
+    assert held < n_terms // 10
+
+
+def test_version_5_artifact_is_rejected(tmp_path):
+    # version 5 kept the terms in the JSON header and had no term members
+    good = tmp_path / "good.idx"
+    save_sparse_index(build_sparse_index([Passage("p1", "a b"), Passage("p2", "b")]), str(good))
+    members = _members(good)
+    del members["terms"], members["term_lengths"]
+    meta = json.loads(members["meta"].tobytes().decode("utf-8"))
+    members["meta"] = _to_planes(np.frombuffer(json.dumps(dict(meta, version=5, terms=["a", "b"])).encode(), np.uint8))
+    path = tmp_path / "v5.idx"
+    _write_members(path, members)
+    with pytest.raises(DataError) as err:
+        load_sparse_index(str(path))
+    assert "version 5" in str(err.value) and "re-run build-index to write version 6" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "terms, lengths",
+    [
+        (b"abc", [1, 1]),  # lengths short of the bytes
+        (b"abc", [1, 3]),  # lengths past the bytes
+        (b"abc", [0, 3]),  # an empty term
+        (b"a\xffc", [1, 2]),  # not UTF-8
+        (b"ba", [1, 1]),  # not in byte order
+        (None, [1, 2]),  # two byte planes
+    ],
+    ids=["short", "long", "empty-term", "not-utf8", "unsorted", "two-planes"],
+)
+def test_a_damaged_term_member_is_a_data_error_naming_the_index_and_infer_exits_2(tmp_path, capsys, terms, lengths):
+    # p1 "a b", p2 "b": the terms are "a" and "b"
+    good = tmp_path / "good.idx"
+    save_sparse_index(build_sparse_index([Passage("p1", "a b"), Passage("p2", "b")]), str(good))
+    members = _members(good)
+    members["terms"] = np.ones((2, 3), dtype=np.uint8) if terms is None else _to_planes(np.frombuffer(terms, np.uint8))
+    members["term_lengths"] = _to_planes(np.array(lengths, dtype=np.uint8))
+    bad = tmp_path / "bad.idx"
+    _write_members(bad, members)
+    with pytest.raises(DataError) as err:
+        load_sparse_index(str(bad))
+    assert str(err.value).startswith(f"{bad}: ")
+    ws = build_cli_workspace(tmp_path / "data")
+    capsys.readouterr()
+    assert main(["infer", "--dataset", ws["dataset"], "--sparse-index", str(bad), "--mock-script", ws["script"],
+                 "--out", str(tmp_path / "run.trec")]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {bad}: ")
+
+
+@pytest.mark.parametrize("ids", [["p1", "p1"], [1, "p2"], ["p1", None]], ids=["repeated", "int", "null"])
+def test_a_meta_whose_ids_repeat_or_are_not_strings_is_a_data_error_naming_the_index(tmp_path, ids):
+    good = tmp_path / "good.idx"
+    save_sparse_index(build_sparse_index([Passage("p1", "a b"), Passage("p2", "b")]), str(good))
+    members = _members(good)
+    meta = json.loads(members["meta"].tobytes().decode("utf-8"))
+    members["meta"] = _to_planes(np.frombuffer(json.dumps(dict(meta, ids=ids)).encode("utf-8"), dtype=np.uint8))
+    bad = tmp_path / "bad.idx"
+    _write_members(bad, members)
+    with pytest.raises(DataError) as err:
+        load_sparse_index(str(bad))
+    assert str(err.value).startswith(f"{bad}: ")
+
+
+def test_membership_is_a_search_in_id_order(tmp_path):
+    passages = [Passage(pid, "a") for pid in ("p2", "p10", "p1", "q", "é")]
+    index = build_sparse_index(passages)
+    path = tmp_path / "sparse.idx"
+    save_sparse_index(index, str(path))
+    for got in (index, load_sparse_index(str(path))):
+        assert [pid in got for pid in ("p1", "p10", "p2", "q", "é")] == [True] * 5
+        assert [pid in got for pid in ("", "p", "p0", "p11", "p3", "r", "e", "éé")] == [False] * 8
