@@ -17,6 +17,7 @@ import os
 import signal
 import sys
 import threading
+from collections import deque
 from dataclasses import replace
 
 from .config import _SCHEMA, FUSION_MODES, MODE_RETRIEVERS, RETRIEVER_CHOICES, Config, Setting, load_config
@@ -139,6 +140,9 @@ def cmd_embed_index(args, config: Config) -> tuple[list, list]:
     collection_path = _require_path(args.collection or config.collection, "--collection")
     fmt = args.format or config.collection_format
     provider = _make_provider(args, config)
+    # the build streams the file, so a bad or repeated line is found by a
+    # first pass that embeds nothing and keeps no text
+    deque(load_collection(collection_path, fmt), maxlen=0)
     index = build_dense_index(load_collection(collection_path, fmt), provider, path=args.out)
     print(f"embedded {index.doc_count} passages (dim {index.dim}) -> {args.out}")
     return [collection_path], [args.out]

@@ -17,7 +17,7 @@ import zlib
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Protocol
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -143,12 +143,13 @@ class DenseIndex:
     provider_name: str
     dim: int
     id_rank: np.ndarray | None = None  # ordinal -> rank of its id; None computes it
-    by_rank: np.ndarray = field(init=False, repr=False)  # the ordinals in id order
+    by_rank: np.ndarray | None = field(default=None, repr=False)  # the ordinals in id order; None computes it
 
     def __post_init__(self) -> None:
         if self.id_rank is None:
             self.id_rank = id_ranks(self.ids)
-        self.by_rank = by_rank(self.id_rank)
+        if self.by_rank is None:
+            self.by_rank = by_rank(self.id_rank)
 
     @property
     def doc_count(self) -> int:
@@ -171,28 +172,37 @@ def build_dense_index(
     is embedded, so neither the collection nor the vectors are held; the
     returned index maps the saved vectors.
 
+    The ids of a sequence are all checked before the first batch is
+    embedded. Those of any other iterable are checked a batch at a time, so
+    a caller that must not embed before a late repeat is found checks the
+    stream first (``cmd_embed_index`` reads the collection file twice).
+
     A provider outage mid-build raises ProviderUnavailable mentioning how
     many passages were embedded before the failure, and leaves nothing at
     ``path``.
     """
     ids: dict[str, None] = {}  # an insertion-ordered set
-    passages = iter(collection)
+    checked = isinstance(collection, Sequence)
+    if checked:
+        _add_ids(ids, collection)
+        if not ids:
+            raise EmptyCollection("cannot build an index over an empty collection")
+    passages, done = iter(collection), 0
     with nullcontext(io.BytesIO()) if path is None else _vectors_file(path) as out:
         header = _write_header(out, 0, provider.dim)
         while batch := list(islice(passages, batch_size)):
-            for passage in batch:
-                if passage.id in ids:
-                    raise DuplicateId(passage.id)
-                ids[passage.id] = None
+            if not checked:
+                _add_ids(ids, batch)
             try:
                 chunk = provider.embed_batch([passage.text for passage in batch], role="passage")
             except ProviderUnavailable as e:
-                raise ProviderUnavailable(f"{e} (embedded {len(ids) - len(batch)} passages before failure)") from e
+                raise ProviderUnavailable(f"{e} (embedded {done} passages before failure)") from e
             if len(chunk) != len(batch):
                 raise ProviderUnavailable(f"provider returned {len(chunk)} vectors for {len(batch)} texts")
             if chunk.shape != (len(batch), provider.dim):
                 raise DimensionMismatch(provider.dim, int(chunk.shape[-1]))
             out.write(np.ascontiguousarray(chunk, dtype="<f8").data)
+            done += len(batch)
         if not ids:
             raise EmptyCollection("cannot build an index over an empty collection")
         out.seek(0)
@@ -207,6 +217,14 @@ def build_dense_index(
     if path is not None:
         _write_tables(index, path)
     return index
+
+
+def _add_ids(ids: dict[str, None], passages: Iterable[Passage]) -> None:
+    """Add each passage's id to ``ids``; DuplicateId on a repeat."""
+    for passage in passages:
+        if passage.id in ids:
+            raise DuplicateId(passage.id)
+        ids[passage.id] = None
 
 
 def search_dense(
@@ -308,4 +326,4 @@ def load_dense_index(path: str) -> DenseIndex:
         raise DataError(f"{path}: not a dense index artifact ({e})") from e
     if vectors.shape != (len(ids), dim) or vectors.dtype != np.float64:
         raise DataError(f"{path}: dense index vectors are not {len(ids)} x {dim} float64")
-    return DenseIndex(vectors, ids, provider, dim, stored_id_ranks(path, id_rank, ids))
+    return DenseIndex(vectors, ids, provider, dim, *stored_id_ranks(path, id_rank, ids))

@@ -52,10 +52,10 @@ def id_ranks(ids: Sequence[str]) -> np.ndarray:
     return ranks
 
 
-def stored_id_ranks(path: str, ranks: np.ndarray, ids: list) -> np.ndarray:
-    """Id ranks read from an index file, as int64. A DataError unless the
-    ids are distinct strings and ``ranks`` is their order, which
-    ``by_rank`` of the ranks lists in increasing id order."""
+def stored_id_ranks(path: str, ranks: np.ndarray, ids: list) -> tuple[np.ndarray, np.ndarray]:
+    """Id ranks read from an index file, as int64, and ``by_rank`` of them.
+    A DataError unless the ids are distinct strings and ``ranks`` is their
+    order, which ``by_rank`` of the ranks lists in increasing id order."""
     n = len(ids)
     ok = ranks.shape == (n,) and ranks.dtype.kind in "iu" and (n == 0 or 0 <= ranks.min() <= ranks.max() < n)
     if ok:
@@ -67,14 +67,15 @@ def stored_id_ranks(path: str, ranks: np.ndarray, ids: list) -> np.ndarray:
         raise DataError(f"{path}: stored id ranks are not a permutation of the passage ordinals")
     if not set(map(type, ids)) <= {str}:
         raise DataError(f"{path}: passage ids must be strings")
+    ordinals = by_rank(ranks)
     # a memoryview yields each ordinal as it is read, so no list of ints is held
-    ordered = list(map(ids.__getitem__, memoryview(by_rank(ranks))))
+    ordered = list(map(ids.__getitem__, memoryview(ordinals)))
     if not all(map(operator.lt, ordered, islice(ordered, 1, None))):
         prev, pid = next((a, b) for a, b in zip(ordered, ordered[1:]) if not a < b)
         raise DataError(
             f"{path}: passage id {pid!r} repeats" if prev == pid else f"{path}: stored id ranks do not order the ids"
         )
-    return ranks
+    return ranks, ordinals
 
 
 def by_rank(id_rank: np.ndarray) -> np.ndarray:

@@ -108,8 +108,8 @@ class SparseIndex:
     doc_lengths: np.ndarray  # int64 token count per ordinal
     ids: list[str]  # ordinal -> passage id
     id_rank: np.ndarray | None = None  # ordinal -> rank of its id; None computes it
+    by_rank: np.ndarray | None = field(default=None, repr=False)  # the ordinals in id order; None computes it
     avg_doc_length: float = field(init=False)
-    by_rank: np.ndarray = field(init=False, repr=False)  # the ordinals in id order
     # int64, one per term plus one: term r is term_bytes[term_starts[r]:term_starts[r + 1]]
     term_starts: np.ndarray = field(init=False, repr=False)
     # each term's first 8 bytes, zero-padded, as a big-endian uint64: these
@@ -128,7 +128,8 @@ class SparseIndex:
         self.avg_doc_length = int(self.doc_lengths.sum()) / len(self.doc_lengths)
         if self.id_rank is None:
             self.id_rank = id_ranks(self.ids)
-        self.by_rank = by_rank(self.id_rank)
+        if self.by_rank is None:
+            self.by_rank = by_rank(self.id_rank)
         self.term_starts = np.zeros(len(self.term_lengths) + 1, dtype=np.int64)
         np.cumsum(self.term_lengths, out=self.term_starts[1:])
         self.term_keys = _prefix_keys(self.term_bytes, self.term_starts)
@@ -464,8 +465,19 @@ def load_sparse_index(path: str) -> SparseIndex:
         PostingBlocks(first_rows.tolist(), {}, path, streams, bounds.tolist()),
         doc_lengths.astype(np.int64),
         ids,
-        stored_id_ranks(path, id_rank, ids),
+        *stored_id_ranks(path, id_rank, ids),
     )
-    if np.any(index.term_keys[1:] < index.term_keys[:-1]):
-        raise DataError(f"{path}: sparse index terms are not in byte order")
+    # keys in order put the terms in byte order except within runs of equal
+    # keys, whose terms are compared (tokens hold no NUL, so distinct terms
+    # of up to 8 bytes have distinct keys)
+    keys, starts = index.term_keys, index.term_starts
+    if (
+        b"\0" in term_bytes
+        or np.any(keys[1:] < keys[:-1])
+        or not all(
+            term_bytes[starts[r] : starts[r + 1]] < term_bytes[starts[r + 1] : starts[r + 2]]
+            for r in np.flatnonzero(keys[1:] == keys[:-1]).tolist()
+        )
+    ):
+        raise DataError(f"{path}: sparse index terms are not distinct and in byte order")
     return index

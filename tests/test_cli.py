@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from icr.cli import main
+from icr.corpus import Passage
 from icr.errors import ProviderUnavailable
 from icr.fusion import FusionConfig
 from icr.manifest import load_manifest, verify_outputs
@@ -179,6 +180,25 @@ def test_embed_index_into_a_directory_holding_another_file_is_a_data_error(ws, c
                      "--config", ws["config"]]) == 0
     assert sorted(p.name for p in dense.iterdir()) == ["id_rank.npy", "meta.json", "vectors.npy"]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("last_line", ["p1\tagain", "no tab here"])
+def test_embed_index_refuses_a_bad_collection_before_embedding_any_passage(ws, capsys, monkeypatch, last_line):
+    from icr.dense_index import HashEmbeddingProvider
+
+    calls = []
+    embed_batch = HashEmbeddingProvider.embed_batch
+    monkeypatch.setattr(
+        HashEmbeddingProvider, "embed_batch", lambda self, texts, role=None: calls.append(1) or embed_batch(self, texts, role)
+    )
+    collection = ws["out"] / "collection.tsv"
+    write_collection([Passage(f"p{i}", f"text {i}") for i in range(200)], str(collection))
+    with open(collection, "a", encoding="utf-8") as fh:
+        fh.write(last_line + "\n")
+    dense = ws["out"] / "dense.idx"
+    assert main(["embed-index", "--collection", str(collection), "--out", str(dense), "--config", ws["config"]]) == 2
+    assert "collection.tsv:201:" in capsys.readouterr().err
+    assert calls == [] and not dense.exists()
 
 
 def test_usage_error_exit_code(capsys):

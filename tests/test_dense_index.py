@@ -304,19 +304,31 @@ class _CountingProvider(HashEmbeddingProvider):
         return super().embed_batch(texts, role)
 
 
-def test_build_refuses_a_repeated_id_before_embedding_its_batch(tmp_path):
-    # the build reads the collection once, so the batches before the repeat
-    # are embedded; the repeat's own batch is not, and nothing is saved
+def test_build_checks_ids_before_embedding(tmp_path):
     provider = _CountingProvider()
     passages = [Passage(f"p{i}", "text") for i in range(100)] + [Passage("p0", "again")]
     with pytest.raises(DuplicateId):
         build_dense_index(passages, provider, batch_size=10)
+    with pytest.raises(DuplicateId):
+        build_dense_index(passages, provider, batch_size=10, path=str(tmp_path / "dense"))
+    with pytest.raises(EmptyCollection):
+        build_dense_index(iter([]), provider)
+    with pytest.raises(EmptyCollection):
+        build_dense_index([], provider, path=str(tmp_path / "dense"))
+    assert provider.calls == 0 and list(tmp_path.iterdir()) == []
+
+
+def test_a_streamed_build_refuses_a_repeated_id_before_embedding_its_batch(tmp_path):
+    # an iterator is read once, so the batches before the repeat are
+    # embedded; the repeat's own batch is not, and nothing is saved
+    provider = _CountingProvider()
+    passages = [Passage(f"p{i}", "text") for i in range(100)] + [Passage("p0", "again")]
+    with pytest.raises(DuplicateId):
+        build_dense_index(iter(passages), provider, batch_size=10)
     assert provider.calls == 10
     with pytest.raises(DuplicateId):
         build_dense_index(iter(passages), provider, batch_size=10, path=str(tmp_path / "dense"))
     assert provider.calls == 20 and list(tmp_path.iterdir()) == []
-    with pytest.raises(EmptyCollection):
-        build_dense_index(iter([]), provider)
     with pytest.raises(EmptyCollection):
         build_dense_index(iter([]), provider, path=str(tmp_path / "dense"))
     assert provider.calls == 20 and list(tmp_path.iterdir()) == []
@@ -347,7 +359,10 @@ def test_load_maps_the_vectors_and_takes_the_stored_id_ranks(tmp_path, monkeypat
     index, path = _saved(tmp_path)
     assert sorted(p.name for p in path.iterdir()) == ["id_rank.npy", "meta.json", "vectors.npy"]
     monkeypatch.setattr(dense_index, "id_ranks", lambda ids: pytest.fail("load sorted the ids"))
+    # the id order check inverts the ranks, and the index keeps that inverse
+    monkeypatch.setattr(dense_index, "by_rank", lambda ranks: pytest.fail("load inverted the ranks again"))
     loaded = load_dense_index(str(path))
+    assert loaded.by_rank.tolist() == index.by_rank.tolist() == [2, 1, 0]
     assert isinstance(loaded.vectors, np.memmap) and not loaded.vectors.flags.writeable
     assert loaded.vectors.dtype == np.float64
     assert loaded.id_rank.dtype == np.int64 and loaded.id_rank.tolist() == index.id_rank.tolist() == [2, 1, 0]

@@ -393,7 +393,10 @@ def test_load_takes_the_stored_id_ranks(tmp_path, monkeypatch):
     index = build_sparse_index([Passage("p2", "a"), Passage("p10", "a"), Passage("p1", "a")])
     save_sparse_index(index, str(path))
     monkeypatch.setattr(sparse_index, "id_ranks", lambda ids: pytest.fail("load sorted the ids"))
+    # the id order check inverts the ranks, and the index keeps that inverse
+    monkeypatch.setattr(sparse_index, "by_rank", lambda ranks: pytest.fail("load inverted the ranks again"))
     loaded = load_sparse_index(str(path))
+    assert loaded.by_rank.tolist() == index.by_rank.tolist() == [2, 1, 0]
     assert loaded.id_rank.tolist() == [2, 1, 0]
     assert search_sparse(loaded, "a", 3).ids() == ["p1", "p10", "p2"]
 
@@ -644,9 +647,14 @@ def test_version_5_artifact_is_rejected(tmp_path):
         (b"abc", [0, 3]),  # an empty term
         (b"a\xffc", [1, 2]),  # not UTF-8
         (b"ba", [1, 1]),  # not in byte order
+        (b"aa", [1, 1]),  # repeated
+        (b"abcdefghzabcdefghy", [9, 9]),  # not in byte order past a shared 8-byte prefix
+        (b"abcdefghzabcdefghz", [9, 9]),  # repeated past a shared 8-byte prefix
+        (b"ab\0", [1, 2]),  # a NUL byte, which no token holds
         (None, [1, 2]),  # two byte planes
     ],
-    ids=["short", "long", "empty-term", "not-utf8", "unsorted", "two-planes"],
+    ids=["short", "long", "empty-term", "not-utf8", "unsorted", "repeated", "unsorted-long", "repeated-long", "nul",
+         "two-planes"],
 )
 def test_a_damaged_term_member_is_a_data_error_naming_the_index_and_infer_exits_2(tmp_path, capsys, terms, lengths):
     # p1 "a b", p2 "b": the terms are "a" and "b"
